@@ -11,12 +11,56 @@
 
 namespace sdrmpi::core {
 
+std::vector<std::exception_ptr> parallel_for(
+    std::size_t n, int threads, const std::function<void(std::size_t)>& task) {
+  std::vector<std::exception_ptr> errors(n);
+  if (n == 0) return errors;
+  std::size_t nthreads = threads > 0 ? static_cast<std::size_t>(threads)
+                                     : std::thread::hardware_concurrency();
+  nthreads = std::clamp<std::size_t>(nthreads, 1, n);
+
+  std::atomic<std::size_t> next{0};
+  auto worker = [&task, &errors, &next, n] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+
+  if (nthreads == 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(nthreads);
+    for (std::size_t t = 0; t < nthreads; ++t) pool.emplace_back(worker);
+    for (auto& th : pool) th.join();
+  }
+  return errors;
+}
+
+void rethrow_indexed(std::size_t index, const std::exception_ptr& error) {
+  const std::string prefix = "config[" + std::to_string(index) + "]: ";
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(prefix + e.what());
+  } catch (const std::logic_error& e) {
+    throw std::logic_error(prefix + e.what());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(prefix + e.what());
+  }
+}
+
 std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
                                 const AppFactory& factory,
                                 const BatchOptions& opts) {
   const std::size_t n = configs.size();
   std::vector<RunResult> results(n);
-  if (n == 0) return results;
 
   // Build apps up front on the submitting thread: factories stay simple
   // (no thread-safety contract) and app identity is independent of the
@@ -24,50 +68,12 @@ std::vector<RunResult> run_many(const std::vector<RunConfig>& configs,
   std::vector<AppFn> apps(n);
   for (std::size_t i = 0; i < n; ++i) apps[i] = factory(configs[i], i);
 
-  int threads = opts.threads > 0
-                    ? opts.threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  threads = std::clamp(threads, 1, static_cast<int>(n));
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(n);
-  auto worker = [&configs, &apps, &results, &errors, &next, n] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        results[i] = run(configs[i], apps[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
-
-  // Deterministic error surfacing: the lowest-index failure wins, tagged
-  // with the failing point's position so sweep failures are attributable
-  // without bisection ("config[17]: ..."). The original exception type is
-  // preserved for the types run construction actually throws.
+  const auto errors = parallel_for(n, opts.threads, [&](std::size_t i) {
+    results[i] = run(configs[i], apps[i]);
+  });
+  // Deterministic error surfacing: the lowest-index failure wins.
   for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i] == nullptr) continue;
-    const std::string prefix = "config[" + std::to_string(i) + "]: ";
-    try {
-      std::rethrow_exception(errors[i]);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(prefix + e.what());
-    } catch (const std::logic_error& e) {
-      throw std::logic_error(prefix + e.what());
-    } catch (const std::exception& e) {
-      throw std::runtime_error(prefix + e.what());
-    }
+    if (errors[i] != nullptr) rethrow_indexed(i, errors[i]);
   }
   return results;
 }

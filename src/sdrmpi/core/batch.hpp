@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -31,10 +32,27 @@ struct BatchOptions {
 /// mutable state with other runs' apps.
 using AppFactory = std::function<AppFn(const RunConfig& cfg, std::size_t index)>;
 
-/// Runs every config through core::run() on a thread pool and returns the
-/// results in input order. The first run-construction error (invalid
-/// config) is rethrown after the pool drains; per-process application
-/// errors land in RunResult::errors as in core::run().
+/// The one in-process executor, shared by run_many and the sweep service:
+/// runs task(i) for every i in [0, n) on `threads` host threads (0 = the
+/// hardware concurrency; clamped to [1, n]). Each thread claims the next
+/// index from one atomic counter; a single thread runs inline on the
+/// caller. An exception escaping task(i) is captured into slot i of the
+/// returned vector (null = the task succeeded).
+[[nodiscard]] std::vector<std::exception_ptr> parallel_for(
+    std::size_t n, int threads, const std::function<void(std::size_t)>& task);
+
+/// Rethrows `error` with "config[index]: " prefixed to its message, so a
+/// sweep failure names its input position without bisection. Keeps
+/// std::invalid_argument and std::logic_error; anything else becomes
+/// std::runtime_error.
+[[noreturn]] void rethrow_indexed(std::size_t index,
+                                  const std::exception_ptr& error);
+
+/// Runs every config through core::run() on the parallel_for pool and
+/// returns the results in input order. The lowest-index run-construction
+/// error (invalid config) is rethrown after the pool drains, tagged by
+/// rethrow_indexed; per-process application errors land in
+/// RunResult::errors as in core::run().
 [[nodiscard]] std::vector<RunResult> run_many(
     const std::vector<RunConfig>& configs, const AppFactory& factory,
     const BatchOptions& opts = {});

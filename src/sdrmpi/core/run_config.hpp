@@ -199,8 +199,8 @@ struct RunResult {
 
   /// Bit-level equality over the simulated result (slots, counters,
   /// errors). The sweep service's cache round-trip tests assert
-  /// decode(encode(r)) == r for every field; sweep-layout invariance tests
-  /// assert sharded executions reproduce the single-chunk results exactly.
+  /// decode(encode(r)) == r for every field; pool-size and fleet-shape
+  /// invariance tests assert every executor reproduces the pool-1 results.
   /// `mem` is deliberately left out: host-memory accounting tracks
   /// allocator/cache state, not simulated outcome (see MemStats).
   [[nodiscard]] bool operator==(const RunResult& o) const {

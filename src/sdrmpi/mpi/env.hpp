@@ -52,11 +52,6 @@ class Env {
     ep_->engine().advance(timeunits::seconds(seconds));
   }
 
-  /// Runs fn() for real and charges its measured host duration (scaled).
-  /// Only meaningful when the simulation runs one process at a time, which
-  /// this engine guarantees.
-  void compute_measured(const std::function<void()>& fn, double scale = 1.0);
-
   /// Folds a value into this process's run checksum (the correctness
   /// oracle: replicas and native runs must agree bit-for-bit).
   void report_checksum(std::uint64_t digest) {

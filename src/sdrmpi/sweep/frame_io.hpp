@@ -1,6 +1,5 @@
-// Length-prefixed result frames over raw fds — the wire format between
-// the sweep scheduler and its forked process workers (worker.cpp), the
-// warm-prefix fork runner (warm.cpp), and the TCP remote-worker transport
+// Length-prefixed result frames over raw fds — the wire format of the
+// warm-prefix fork runner (warm.cpp) and the TCP remote-worker transport
 // (transport.hpp / remote.hpp).
 //
 // Frame layout (little-endian, host-order independent):

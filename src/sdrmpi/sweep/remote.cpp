@@ -776,23 +776,20 @@ RemoteStats RemoteCoordinator::stats() const {
 }
 
 void RemoteCoordinator::run(
-    const std::vector<std::vector<RemotePoint>>& chunks,
+    const std::vector<RemotePoint>& points,
     const std::function<void(std::size_t, core::RunResult&&)>& on_result,
     const std::function<void(PointError&&)>& on_error) {
   Impl::RunState rs;
   rs.on_result = &on_result;
   rs.on_error = &on_error;
-  // The service's chunk layout is advisory under pull scheduling: points
-  // are queued individually and chunks are cut to worker-reported
+  // Points are queued individually; chunks are cut to worker-reported
   // throughput at serve time. Input order is preserved.
-  for (const auto& chunk : chunks) {
-    for (const RemotePoint& pt : chunk) {
-      Impl::PendingItem item;
-      item.point = static_cast<std::uint32_t>(rs.pts.size());
-      item.not_before = Clock::now();
-      rs.pts.push_back(pt);
-      rs.queue.push_back(item);
-    }
+  rs.pts = points;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    Impl::PendingItem item;
+    item.point = static_cast<std::uint32_t>(p);
+    item.not_before = Clock::now();
+    rs.queue.push_back(item);
   }
   rs.state.resize(rs.pts.size());
   rs.undone = rs.pts.size();

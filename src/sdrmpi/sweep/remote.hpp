@@ -3,11 +3,15 @@
 //
 // The coordinator listens on TCP (transport.hpp); sweep-workerd processes
 // connect, register, and execute dispatched chunks. The wire protocol is
-// the forked-worker frame format (frame_io.hpp) with coordination kinds
-// layered on top; configs cross the wire as canonical config_key bytes
-// (deserialize(serialize(c)) == c exactly), so a remote simulation starts
-// from a bit-identical RunConfig — shard layout, worker count, and
-// failure timing are invisible in results.
+// the length-prefixed result frame format (frame_io.hpp) with
+// coordination kinds layered on top; configs cross the wire as canonical
+// config_key bytes (deserialize(serialize(c)) == c exactly), so a remote
+// simulation starts from a bit-identical RunConfig — chunk cuts, worker
+// count, and failure timing are invisible in results.
+//
+// This is also the single-host process-isolation backend: a coordinator
+// on 127.0.0.1 plus local sweep-workerd processes keeps a crashing
+// simulation out of the sweep driver.
 //
 // Robustness model (the paper's fail-stop discipline applied to our own
 // orchestration, after the TeaMPI/FTHP-MPI pattern):
@@ -48,12 +52,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sdrmpi/core/batch.hpp"
 #include "sdrmpi/core/run_config.hpp"
-#include "sdrmpi/sweep/worker.hpp"
 
 namespace sdrmpi::sweep {
 
@@ -118,6 +122,21 @@ struct RemoteTuning {
   std::string secret;
 };
 
+/// The whole remote sweep failed, not one point: two workers returned
+/// different results for the same point (a determinism violation).
+struct WorkerError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Per-point failure relayed from a worker or the local fallback
+/// (exception message + whether it was a construction/invalid-config
+/// error).
+struct PointError {
+  std::size_t id = 0;
+  bool invalid_config = false;
+  std::string message;
+};
+
 /// One point of remote work: stable id + the coordinator-side config/app
 /// (the app is the local-degradation fallback; the spec is what a remote
 /// workerd resolves through the workload registry).
@@ -157,11 +176,12 @@ class RemoteCoordinator {
   /// Currently registered (live) workers.
   [[nodiscard]] std::size_t connected_workers() const;
 
-  /// Executes every point of every chunk; blocks until each has exactly
-  /// one result or error. on_result/on_error are invoked from the calling
-  /// thread and from reader threads — callers serialize with their own
-  /// lock, exactly like run_forked. Stats accumulate across calls.
-  void run(const std::vector<std::vector<RemotePoint>>& chunks,
+  /// Executes every point; blocks until each has exactly one result or
+  /// error. Points are queued in input order and cut into chunks at serve
+  /// time. on_result/on_error are invoked from the calling thread and from
+  /// reader threads — callers serialize with their own lock. Stats
+  /// accumulate across calls.
+  void run(const std::vector<RemotePoint>& points,
            const std::function<void(std::size_t, core::RunResult&&)>& on_result,
            const std::function<void(PointError&&)>& on_error);
 

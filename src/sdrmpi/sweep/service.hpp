@@ -1,6 +1,7 @@
-// Content-addressed sweep service: the scaling layer over core::run_many.
+// Content-addressed sweep service: the experiment layer over the
+// core::parallel_for pool that also backs core::run_many.
 //
-// Where run_many is a thread pool over a config vector, the service is an
+// Where run_many runs a config vector on that pool, the service is an
 // experiment manager (in the "MPI Benchmarking Revisited" sense —
 // reproducible, repetition-aware experiment handling):
 //
@@ -12,10 +13,12 @@
 //      results without simulation; interrupted sweeps resume from the
 //      records that made it to disk. Sound because runs are
 //      bit-deterministic: a cached result equals a fresh one.
-//   4. The remaining unique points are partitioned into work chunks and
-//      executed by in-process pool workers or forked process-level
-//      workers (sweep/worker.hpp). Results are bit-identical for every
-//      shard layout — the pools-1-vs-8 invariant extended to sharding.
+//   4. The remaining unique points run either on the in-process pool
+//      (each thread claims the next point) or, with `listen` set, on a
+//      fleet of remote sweep-workerd processes (remote.hpp). Results are
+//      bit-identical for every pool size and fleet shape — the
+//      pools-1-vs-8 invariant extended to remote execution. Process
+//      isolation on one host is `listen` on 127.0.0.1 plus local workerds.
 //   5. Each point streams to an optional callback as it completes
 //      (benches emit BENCH-style JSON lines from it).
 //
@@ -38,14 +41,8 @@
 namespace sdrmpi::sweep {
 
 struct ServiceOptions {
-  /// Concurrent workers; 0 = std::thread::hardware_concurrency().
+  /// In-process pool threads; 0 = std::thread::hardware_concurrency().
   int workers = 0;
-  /// Work chunks the unique miss set is split into; 0 = auto (4 per
-  /// worker slot, clamped to the point count). More chunks = finer
-  /// load balancing; the chunk layout never changes results.
-  int chunks = 0;
-  /// Fork process-level workers instead of in-process pool threads.
-  bool process_workers = false;
   /// Path of the persistent result store; empty = in-memory dedupe only.
   std::string cache_path;
   /// Listen endpoint ("host:port"; port 0 = ephemeral) for remote
@@ -88,9 +85,6 @@ struct ServiceStats {
   std::size_t duplicates = 0;     ///< points collapsed onto an earlier digest
   std::size_t cache_hits = 0;     ///< unique digests served from the store
   std::size_t dispatched = 0;     ///< unique digests actually simulated
-  std::size_t chunks = 0;         ///< work chunks dispatched
-  int workers = 0;                ///< resolved worker count
-  bool process_workers = false;
   /// Highest dispatch count observed for any single digest. The dedupe
   /// contract says this is 1 (or 0 on a fully warm sweep); fig_sweepsvc
   /// --check gates on it.

@@ -8,7 +8,7 @@
 // run's state at the same dispatch), then fork() snapshots the whole
 // simulation — fibers, event queue, endpoints — and each child arms one
 // fault scenario late (World::arm_faults), resumes, and streams its
-// RunResult back over a worker pipe frame (frame_io.hpp).
+// RunResult back as a pipe frame (frame_io.hpp).
 //
 // Bit-identity: late arming uses the engine's control lanes (lane = fault
 // index), giving each fault event the exact (t, seq) tie-break position

@@ -8,10 +8,13 @@
 //    at every boundary must be bit-invisible.
 //  - Warm-prefix forked execution (sweep/warm.hpp): one warm-up + fork per
 //    fault scenario reproduces cold core::run() bit-for-bit, including the
-//    cold fallback for faults inside the already-executed prefix.
+//    cold fallback for faults inside the already-executed prefix, and
+//    every child that dies before delivering is reported.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sdrmpi/sweep/warm.hpp"
@@ -164,6 +167,32 @@ TEST(WarmFork, SdrFailoverScenariosMatchColdRunsBitForBit) {
     cfg.faults = scenarios[i];
     const auto cold = core::run(cfg, test::small_workload("cg"));
     EXPECT_EQ(warm[i], cold) << "scenario " << i;
+  }
+}
+
+TEST(WarmFork, EveryFailingScenarioIsReported) {
+  // Both forked children die before delivering: the app exits once its
+  // virtual time passes the pause point, which only happens after the
+  // fork (the warm-up in this process stops at warm_until).
+  constexpr Time kWarmUntil = 50000;
+  const core::AppFn cg = test::small_workload("cg");
+  const core::AppFn die_after_warmup = [cg](mpi::Env& env) {
+    cg(env);
+    if (env.wtime() > timeunits::to_sec(kWarmUntil)) ::_exit(7);
+  };
+  const std::vector<std::vector<core::FaultSpec>> scenarios = {
+      {},
+      {{.slot = 1, .at_time = 250000, .at_send = -1}},
+  };
+  try {
+    auto r = sweep::run_warm_forked(ckpt_config(100000), die_after_warmup,
+                                    scenarios, kWarmUntil);
+    FAIL() << "expected WarmPrefixError";
+  } catch (const sweep::WarmPrefixError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("scenario 0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("scenario 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("; "), std::string::npos) << msg;
   }
 }
 
