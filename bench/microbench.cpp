@@ -7,6 +7,8 @@
 // BENCH_hotpath.json trajectory.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "sdrmpi/mpi/seq_map.hpp"
 #include "sdrmpi/sdrmpi.hpp"
 #include "sdrmpi/util/alloc_counter.hpp"
@@ -16,29 +18,40 @@ namespace {
 
 using namespace sdrmpi;
 
-// Raw engine context-switch cost: two processes ping-pong control via
-// yield(); each loop iteration is two switches into processes plus two back
-// to the scheduler. Reported as ns per engine switch.
+// Raw engine context-switch cost: state.range(0) processes take turns via
+// yield(), so every dispatch is one switch into a fiber and one back to the
+// scheduler. At 2 fibers the switched state stays in cache; at 4096 every
+// resume lands on a cold stack, the regime of a 2k-rank replicated run. The
+// fibers live across iterations (each iteration runs the engine to the
+// next pause time), so spawning and first-touch page faults stay out of
+// the timing. Reported as engine switches (resumes) per second.
 void BM_EngineContextSwitch(benchmark::State& state) {
-  constexpr int kYields = 4096;
+  const int fibers = static_cast<int>(state.range(0));
+  const int rounds = std::max(1, 4096 / fibers);
+  sim::Engine engine;
+  for (int p = 0; p < fibers; ++p) {
+    engine.spawn("p" + std::to_string(p), [&engine] {
+      for (;;) {
+        engine.advance(1);
+        engine.yield();
+      }
+    });
+  }
+  Time until = 1;
+  engine.set_pause_time(until);
+  const std::uint64_t warm = engine.run().context_switches;
+  std::uint64_t switches = warm;
   for (auto _ : state) {
-    sim::Engine engine;
-    for (int p = 0; p < 2; ++p) {
-      engine.spawn("p" + std::to_string(p), [&engine] {
-        for (int k = 0; k < kYields; ++k) {
-          engine.advance(1);
-          engine.yield();
-        }
-      });
-    }
+    until += rounds;
+    engine.set_pause_time(until);
     auto out = engine.run();
-    benchmark::DoNotOptimize(out.context_switches);
+    switches = out.context_switches;
+    benchmark::DoNotOptimize(switches);
   }
   state.counters["switches"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2 * kYields,
-      benchmark::Counter::kIsRate);
+      static_cast<double>(switches - warm), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EngineContextSwitch)->UseRealTime();
+BENCHMARK(BM_EngineContextSwitch)->Arg(2)->Arg(4096)->UseRealTime();
 
 void BM_EngineSpawnRun(benchmark::State& state) {
   for (auto _ : state) {

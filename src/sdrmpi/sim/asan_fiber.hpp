@@ -1,6 +1,7 @@
-// Sanitizer fiber-switch annotations for the ucontext engine.
+// Sanitizer fiber-switch annotations for the fiber engine.
 //
-// ASan tracks one stack per thread; swapcontext onto a fiber stack without
+// ASan tracks one stack per thread; switching onto a fiber stack (the
+// engine's register-only switch, or swapcontext off x86-64) without
 // telling it corrupts its shadow bookkeeping — most visibly when an
 // exception unwinds a fiber (__asan_handle_no_return walks the wrong
 // stack, e.g. the CrashUnwind path). The fix is the documented protocol:
@@ -11,12 +12,13 @@
 //
 // ThreadSanitizer has the same blind spot with a different API: each
 // fiber needs an explicit __tsan_create_fiber handle, and every
-// swapcontext must be announced with __tsan_switch_to_fiber immediately
-// before the switch — otherwise TSan attributes fiber stack accesses to
+// switch must be announced with __tsan_switch_to_fiber immediately
+// before it — otherwise TSan attributes fiber stack accesses to
 // whatever context last ran on the thread and drowns the run in false
 // races. The tsan:: wrappers below compile to no-ops without TSan, so
-// the engine carries both protocols unconditionally (the CI TSan job —
-// CMake option SDRMPI_SANITIZE_THREAD — pins the remote sweep
+// the engine carries both protocols unconditionally, around the same
+// switch the normal build runs (the CI TSan job — CMake option
+// SDRMPI_SANITIZE_THREAD — runs sim_test and pins the remote sweep
 // coordinator's acceptor/reader/scheduler threads race-free).
 #pragma once
 
@@ -92,7 +94,7 @@ inline void destroy_fiber(void* fiber) {
 /// called from the scheduler loop).
 inline void* current_fiber() { return __tsan_get_current_fiber(); }
 
-/// Announce the switch; call immediately before swapcontext. Exactly one
+/// Announce the switch; call immediately before switching. Exactly one
 /// announcement per switch, made by the leaving side — the landing side
 /// does nothing.
 inline void switch_to(void* fiber) {

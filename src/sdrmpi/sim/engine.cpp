@@ -217,7 +217,7 @@ void Engine::resume(Process& p) {
   asan::start_switch(&asan_sched_fake_, p.stack_.sp(), p.stack_.size());
   tsan_sched_fiber_ = tsan::current_fiber();
   tsan::switch_to(p.tsan_fiber_);
-  swapcontext(&sched_ctx_, &p.ctx_);
+  sdrmpi_switch_context(&sched_ctx_, &p.ctx_);
   asan::finish_switch(asan_sched_fake_, nullptr, nullptr);
   running_ = nullptr;
   if (p.terminated()) {
@@ -235,7 +235,7 @@ void Engine::return_control_to_engine() {
   asan::start_switch(self.terminated() ? nullptr : &self.asan_fake_stack_,
                      asan_sched_bottom_, asan_sched_size_);
   tsan::switch_to(tsan_sched_fiber_);
-  swapcontext(&self.ctx_, &sched_ctx_);
+  sdrmpi_switch_context(&self.ctx_, &sched_ctx_);
   asan::finish_switch(self.asan_fake_stack_, nullptr, nullptr);
 }
 
@@ -313,7 +313,7 @@ void Engine::maybe_yield() {
   // the scheduler: the global action order is exactly what the scheduler
   // would produce (events win ties, and we stop as soon as a runnable
   // process precedes the next event), but the yield→event→resume round
-  // trip — two swapcontext calls per consumed frame, the dominant
+  // trip — two context switches per consumed frame, the dominant
   // fiber-switch churn on ping-pong traffic — disappears. Virtual time is
   // untouched by construction; only the host-side context_switches counter
   // shrinks.
@@ -383,16 +383,16 @@ void Engine::run_event_inline(Process& self) {
   fn();
 }
 
-void Engine::block(std::string reason) {
+void Engine::block(const char* reason) {
   Process& self = *running_;
   if (self.crash_req_) throw CrashUnwind{};
   self.state_ = ProcState::Blocked;
-  self.block_reason_ = std::move(reason);
+  self.block_reason_ = reason;
   // In-fiber wait: replay the scheduler's own decision loop without leaving
   // this fiber. Due events execute inline (they run in engine context and
   // never switch stacks); when one of them wakes this process AND the
   // scheduler's next pick would be this process, we simply return — the
-  // block→wake→resume round trip (two swapcontext calls per consumed
+  // block→wake→resume round trip (two context switches per consumed
   // frame, the dominant fiber-switch churn on request/response traffic)
   // never happens. The moment the scheduler would do anything else — resume
   // another process, stop on the time limit, or report a deadlock — we swap

@@ -11,8 +11,6 @@
 // only through timestamped events and only consume them at MPI-call points.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -167,8 +165,10 @@ class Engine {
   void yield();
 
   /// Parks the current process until wake(). `reason` shows up in deadlock
-  /// reports. Checks for injected crash before and after parking.
-  void block(std::string reason);
+  /// reports; it must be a string literal (static storage), since the
+  /// process keeps the pointer. Checks for injected crash before and after
+  /// parking.
+  void block(const char* reason);
 
   // ---- cross-context API ----
 
@@ -194,7 +194,9 @@ class Engine {
 
   /// Complete copy of the engine's execution state: per-process clocks,
   /// scheduler states, fiber contexts and stack bytes, the event queue's
-  /// ordering structure, and the virtual-time/sequence counters.
+  /// ordering structure, and the virtual-time/sequence counters. On x86-64
+  /// a fiber context is just a stack pointer; the registers it resumes
+  /// with are part of the copied stack bytes.
   ///
   /// Contract: a Snapshot is valid for restore() only while the process
   /// set and the event-callback slab are unchanged — an immediate
@@ -214,8 +216,8 @@ class Engine {
       /// no fiber exists yet); restore() returns such a process to its
       /// pre-first-dispatch state.
       bool has_fiber = false;
-      std::string block_reason;
-      ucontext_t ctx{};
+      const char* block_reason = "";
+      FiberContext ctx{};
       std::vector<std::byte> stack;  ///< usable stack bytes (empty if none)
     };
     std::vector<Proc> procs;
@@ -250,11 +252,11 @@ class Engine {
   /// maybe_yield()/block() to consume events without two fiber switches
   /// per event; action order matches the run() loop by construction.
   void run_event_inline(Process& self);
-  /// Direct swapcontext into the process fiber; returns when the process
+  /// Direct context switch into the process fiber; returns when the process
   /// yields, blocks, or terminates (terminated fibers give their stack back
   /// to the cache here).
   void resume(Process& p);
-  /// Direct swapcontext from the running fiber back to the scheduler.
+  /// Direct context switch from the running fiber back to the scheduler.
   void return_control_to_engine();
 
   [[nodiscard]] FiberStack acquire_stack();
@@ -299,7 +301,7 @@ class Engine {
   // live exactly like a Running process.
   Process* inline_host_ = nullptr;
 
-  ucontext_t sched_ctx_{};          // where fibers switch back to
+  FiberContext sched_ctx_{};  // where fibers switch back to
   std::vector<FiberStack> stack_cache_;
   std::size_t stack_bytes_ = 0;  // 0 = env/default (see set_fiber_stack_bytes)
   std::size_t stack_cache_cap_ = kDefaultStackCacheCap;

@@ -12,6 +12,74 @@
 #include "sdrmpi/sim/engine.hpp"
 #include "sdrmpi/util/log.hpp"
 
+#if defined(SDRMPI_REGISTER_SWITCH)
+// sdrmpi_switch_context(from = %rdi, to = %rsi): pushes the callee-saved
+// registers of the System V ABI plus MXCSR and the x87 control word (the
+// per-thread FP state the ABI preserves across calls) onto the leaving
+// stack, stores the stack pointer in *from, and pops the same frame off
+// the stack *to names. Unlike swapcontext it makes no sigprocmask syscall:
+// fibers never change the signal mask. It keeps no CET shadow stack either,
+// which glibc leaves disabled unless a process opts in through
+// GLIBC_TUNABLES.
+//
+// sdrmpi_fiber_entry is where a fresh fiber's first switch returns to
+// (Process::make_fiber lays the frame out): it calls %r13(%r12), i.e.
+// Process::entry(self). The CFI marks it as the outermost frame so
+// unwinders and debuggers stop here.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl sdrmpi_switch_context
+  .hidden sdrmpi_switch_context
+  .type sdrmpi_switch_context, @function
+sdrmpi_switch_context:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq (%rsi), %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size sdrmpi_switch_context, .-sdrmpi_switch_context
+
+  .p2align 4
+  .globl sdrmpi_fiber_entry
+  .hidden sdrmpi_fiber_entry
+  .type sdrmpi_fiber_entry, @function
+sdrmpi_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size sdrmpi_fiber_entry, .-sdrmpi_fiber_entry
+  .popsection
+)");
+
+extern "C" void sdrmpi_fiber_entry();
+#else
+extern "C" void sdrmpi_switch_context(
+    sdrmpi::sim::FiberContext* from,
+    const sdrmpi::sim::FiberContext* to) noexcept {
+  swapcontext(from, to);
+}
+#endif
+
 namespace sdrmpi::sim {
 
 namespace {
@@ -20,6 +88,27 @@ std::size_t page_size() noexcept {
   static const auto ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return ps;
 }
+
+#if defined(SDRMPI_REGISTER_SWITCH)
+// What sdrmpi_switch_context pops on the first switch into a fiber, in
+// ascending address order. It sits at the top of the stack; after the
+// `ret` into sdrmpi_fiber_entry the stack pointer is 16-byte aligned, as
+// the ABI requires before a call, with 16 zero bytes above it.
+struct alignas(16) InitialFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t unused = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void (*r13)(Process*) = nullptr;  // called by the entry stub
+  Process* r12 = nullptr;           // ...with this argument
+  void* rbx = nullptr;
+  void* rbp = nullptr;  // null: frame-pointer walks end here
+  void (*ret)() = nullptr;
+  std::uintptr_t top[2] = {};
+};
+static_assert(sizeof(InitialFrame) == 80);
+#endif
 
 }  // namespace
 
@@ -88,6 +177,18 @@ void Process::make_fiber(FiberStack stack) {
   // fiber handle (no-op on the first call).
   tsan::destroy_fiber(tsan_fiber_);
   tsan_fiber_ = tsan::create_fiber();
+#if defined(SDRMPI_REGISTER_SWITCH)
+  // The fiber starts with the FP control state of its creator, as
+  // getcontext + makecontext gave it.
+  auto* frame = ::new (stack_.sp() + stack_.size() - sizeof(InitialFrame))
+      InitialFrame{};
+  asm volatile("stmxcsr %0\n\tfnstcw %1"
+               : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+  frame->r13 = &Process::entry;
+  frame->r12 = this;
+  frame->ret = &sdrmpi_fiber_entry;
+  ctx_ = frame;
+#else
   getcontext(&ctx_);
   ctx_.uc_stack.ss_sp = stack_.sp();
   ctx_.uc_stack.ss_size = stack_.size();
@@ -96,14 +197,20 @@ void Process::make_fiber(FiberStack stack) {
   // (widened through u64 so the shift is defined on 32-bit pointers too).
   const auto self =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::trampoline), 2,
+  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::ucontext_entry), 2,
               static_cast<unsigned int>(self >> 32),
               static_cast<unsigned int>(self & 0xffffffffu));
+#endif
 }
 
-void Process::trampoline(unsigned int hi, unsigned int lo) {
-  auto* self = reinterpret_cast<Process*>(static_cast<std::uintptr_t>(
-      (static_cast<std::uint64_t>(hi) << 32) | lo));
+#if !defined(SDRMPI_REGISTER_SWITCH)
+void Process::ucontext_entry(unsigned int hi, unsigned int lo) {
+  entry(reinterpret_cast<Process*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo)));
+}
+#endif
+
+void Process::entry(Process* self) {
   // First landing on this fiber: complete the switch and learn the
   // scheduler's stack bounds for the way back (ASan only; no-op otherwise).
   asan::finish_switch(nullptr, &self->engine_.asan_sched_bottom_,

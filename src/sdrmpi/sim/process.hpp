@@ -2,7 +2,7 @@
 // sim::Engine.
 //
 // Exactly one entity (the engine loop or a single process) executes at any
-// host instant; control moves via direct ucontext switches on the engine's
+// host instant; control moves via direct context switches on the engine's
 // host thread — no kernel involvement, no locks. Each process carries a
 // virtual clock that only moves forward. Processes interact with each other
 // exclusively through timestamped events, which is what makes the sequential
@@ -11,7 +11,13 @@
 // (see core::run_many).
 #pragma once
 
+// x86-64 ELF targets (Linux, the BSDs) switch fibers with the register-only
+// assembly in process.cpp; everything else falls back to POSIX ucontext.
+#if defined(__x86_64__) && defined(__ELF__)
+#define SDRMPI_REGISTER_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <exception>
@@ -24,6 +30,23 @@
 namespace sdrmpi::sim {
 
 class Engine;
+
+/// Saved execution context of a suspended fiber, or of the scheduler while a
+/// fiber runs. On x86-64 it is only the stack pointer: the switch pushes the
+/// callee-saved registers and the FP control words onto the leaving stack,
+/// so they travel with the stack bytes (Engine::snapshot copies them). Other
+/// targets fall back to a POSIX ucontext.
+#if defined(SDRMPI_REGISTER_SWITCH)
+using FiberContext = void*;
+#else
+using FiberContext = ucontext_t;
+#endif
+
+/// Saves the running context into `from` and resumes `to`; returns when a
+/// later switch resumes `from`. Register-only assembly on x86-64
+/// (process.cpp), swapcontext elsewhere.
+extern "C" void sdrmpi_switch_context(FiberContext* from,
+                                      const FiberContext* to) noexcept;
 
 enum class ProcState : int {
   Created,   // spawned, fiber not yet entered
@@ -97,8 +120,8 @@ class Process {
   [[nodiscard]] bool crash_requested() const noexcept { return crash_req_; }
   [[nodiscard]] std::exception_ptr error() const noexcept { return error_; }
 
-  /// Reason string recorded when the process blocks (for deadlock reports).
-  [[nodiscard]] const std::string& block_reason() const noexcept {
+  /// Reason recorded when the process blocks (for deadlock reports).
+  [[nodiscard]] const char* block_reason() const noexcept {
     return block_reason_;
   }
 
@@ -108,8 +131,13 @@ class Process {
   /// Prepares the fiber context on `stack`; the body starts running at the
   /// engine's first resume().
   void make_fiber(FiberStack stack);
+  /// First code on a fresh fiber: runs the body, then switches back to the
+  /// scheduler for the last time.
+  static void entry(Process* self);
+#if !defined(SDRMPI_REGISTER_SWITCH)
   /// makecontext entry point; (hi, lo) reassemble the Process pointer.
-  static void trampoline(unsigned int hi, unsigned int lo);
+  static void ucontext_entry(unsigned int hi, unsigned int lo);
+#endif
   /// Runs the body with crash/exception bookkeeping; executes on the fiber.
   void run_body();
 
@@ -121,10 +149,10 @@ class Process {
   Time clock_ = 0;
   ProcState state_ = ProcState::Created;
   bool crash_req_ = false;
-  std::string block_reason_;
+  const char* block_reason_ = "";  // a string literal (Engine::block)
   std::exception_ptr error_;
 
-  ucontext_t ctx_{};
+  FiberContext ctx_{};
   FiberStack stack_;
   void* asan_fake_stack_ = nullptr;  // ASan fake-stack handle (asan_fiber.hpp)
   void* tsan_fiber_ = nullptr;       // TSan fiber handle (asan_fiber.hpp)

@@ -1,14 +1,22 @@
 // Unit tests for the discrete-event engine: scheduling order, virtual
 // clocks, block/wake, crash unwinding, deadlock and time-limit detection —
-// the semantics the fiber rewrite must preserve — plus determinism of
+// the semantics the fiber rewrite must preserve — the context switch's
+// contract (per-fiber FP control state, ABI stack alignment, unwinding
+// across switches, snapshot/restore of parked fibers), plus determinism of
 // core::run_many across pool sizes (a run is confined to one host thread,
 // so pool parallelism must never leak into outcomes).
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdio>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sdrmpi/core/batch.hpp"
+#include "sdrmpi/sim/asan_fiber.hpp"
 #include "sdrmpi/sim/engine.hpp"
 
 namespace sdrmpi::sim {
@@ -121,7 +129,7 @@ TEST(Engine, DeadlockDetected) {
   auto out = e.run();
   EXPECT_TRUE(out.deadlock);
   EXPECT_EQ(out.blocked_pids.size(), 2u);
-  EXPECT_EQ(e.process(0).block_reason(), "never");
+  EXPECT_STREQ(e.process(0).block_reason(), "never");
 }
 
 TEST(Engine, NoDeadlockWhenAllFinish) {
@@ -453,6 +461,206 @@ TEST(Engine, RunManyDeterministicAcrossPoolSizes) {
                 parallel[i].slots[s].finish_time);
     }
   }
+}
+
+TEST(Engine, RoundingModeStaysWithItsFiber) {
+  // The switch saves MXCSR and the x87 control word per fiber, as
+  // swapcontext did: a rounding mode one fiber sets survives its switches
+  // and never leaks into another fiber or into the scheduler.
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest = one / three;
+  Engine e;
+  int upward_kept = 0;
+  int default_kept = 0;
+  e.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 1000; ++i) {
+      e.advance(1);
+      e.yield();
+      if (std::fegetround() == FE_UPWARD && one / three > nearest) {
+        ++upward_kept;
+      }
+    }
+  });
+  e.spawn("default", [&] {
+    for (int i = 0; i < 1000; ++i) {
+      e.advance(1);
+      e.yield();
+      if (std::fegetround() == FE_TONEAREST && one / three == nearest) {
+        ++default_kept;
+      }
+    }
+  });
+  auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_EQ(upward_kept, 1000);
+  EXPECT_EQ(default_kept, 1000);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(Engine, FiberStackAlignedOnEntryAndAfterResume) {
+  // snprintf's varargs prologue spills the SSE argument registers with
+  // aligned stores, so it faults on a stack that breaks the ABI's 16-byte
+  // alignment — on a fresh fiber (the laid-out first frame) or after a
+  // resume (the switch frame).
+  volatile double x = 1.5;
+  std::vector<std::string> printed;
+  auto print = [&] {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%f", x);
+    printed.emplace_back(buf);
+  };
+  Engine e;
+  for (int p = 0; p < 2; ++p) {
+    e.spawn("p", [&] {
+      print();
+      for (int i = 0; i < 3; ++i) {
+        e.advance(1);
+        e.yield();
+        print();
+      }
+    });
+  }
+  auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_EQ(printed, std::vector<std::string>(8, "1.500000"));
+}
+
+TEST(Engine, ExceptionAfterManySwitchesIsCaughtOnItsFiber) {
+  // The unwinder walks frames that were switched out and back in many
+  // times; the handler installed before the switches must catch.
+  Engine e;
+  std::string caught;
+  bool resumed_after_catch = false;
+  std::function<void(int)> descend = [&](int depth) {
+    e.advance(1);
+    e.yield();
+    if (depth == 0) throw std::runtime_error("late");
+    descend(depth - 1);
+  };
+  e.spawn("thrower", [&] {
+    try {
+      for (int i = 0; i < 500; ++i) {
+        e.advance(1);
+        e.yield();
+      }
+      descend(16);
+    } catch (const std::runtime_error& ex) {
+      caught = ex.what();
+    }
+    e.advance(1);
+    e.yield();
+    resumed_after_catch = true;
+  });
+  e.spawn("other", [&] {
+    for (int i = 0; i < 600; ++i) {
+      e.advance(1);
+      e.yield();
+    }
+  });
+  auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_EQ(caught, "late");
+  EXPECT_TRUE(resumed_after_catch);
+}
+
+TEST(Engine, CrashUnwindsBlockedFiberAmongManyLiveFibers) {
+  constexpr int kFibers = 4096;
+  Engine e;
+  e.set_fiber_stack_bytes(64 * 1024);
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  bool unwound = false;
+  bool after_block = false;
+  const int victim = e.spawn("victim", [&] {
+    Sentinel s{&unwound};
+    e.block("victim");
+    after_block = true;  // must never run
+  });
+  std::vector<int> parked;
+  int finished = 0;
+  for (int i = 1; i < kFibers; ++i) {
+    parked.push_back(e.spawn("parked", [&] {
+      e.block("parked");
+      ++finished;
+    }));
+  }
+  int blocked_at_crash = 0;
+  e.schedule(10, [&, victim] {
+    for (std::size_t pid = 0; pid < e.process_count(); ++pid) {
+      if (e.process(static_cast<int>(pid)).state() == ProcState::Blocked) {
+        ++blocked_at_crash;
+      }
+    }
+    e.request_crash(victim);
+  });
+  e.schedule(20, [&] {
+    for (const int pid : parked) e.wake(pid, 20);
+  });
+  auto out = e.run();
+  EXPECT_TRUE(out.clean());
+  EXPECT_EQ(blocked_at_crash, kFibers);
+  EXPECT_TRUE(e.crashed(victim));
+  EXPECT_TRUE(unwound);
+  EXPECT_FALSE(after_block);
+  EXPECT_EQ(finished, kFibers - 1);
+  EXPECT_EQ(e.stack_stats().stacks_created,
+            static_cast<std::uint64_t>(kFibers));
+}
+
+TEST(Engine, SnapshotOfParkedFibersResumesAtTheSamePoint) {
+  // A snapshot holds each parked fiber's saved context and stack bytes, so
+  // restoring it rewinds fibers parked in yield() and block() to exactly
+  // where they were: the restored run's log matches a cold run's.
+  using Log = std::vector<std::pair<int, Time>>;
+  auto build = [](Engine& e, Log& log) {
+    const int sleeper = e.spawn("sleeper", [&e, &log] {
+      for (int k = 0; k < 3; ++k) {
+        e.block("parked");
+        log.emplace_back(100 + k, e.now());
+      }
+    });
+    e.spawn("yielder", [&e, &log, sleeper] {
+      for (int i = 0; i < 10; ++i) {
+        e.advance(10);
+        e.yield();
+        log.emplace_back(i, e.now());
+        if (i % 3 == 2) e.wake(sleeper, e.now());
+      }
+    });
+  };
+  Log cold;
+  {
+    Engine e;
+    build(e, cold);
+    ASSERT_TRUE(e.run().clean());
+  }
+
+  Log log;
+  Engine e;
+  build(e, log);
+  e.set_pause_time(45);
+  ASSERT_TRUE(e.run().paused);
+  ASSERT_EQ(e.process(0).state(), ProcState::Blocked);
+  ASSERT_EQ(e.process(1).state(), ProcState::Runnable);
+  const Engine::Snapshot snap = e.snapshot();
+  const std::size_t mark = log.size();
+#if !defined(SDRMPI_ASAN_FIBERS) && !defined(SDRMPI_TSAN_FIBERS)
+  // Move both fibers on past the snapshot before rewinding. Under ASan and
+  // TSan the engine copies no stack bytes (see Engine::snapshot), so there
+  // only the immediate round trip is valid.
+  e.set_pause_time(75);
+  ASSERT_TRUE(e.run().paused);
+  ASSERT_GT(log.size(), mark);
+#endif
+  e.restore(snap);
+  log.resize(mark);
+  e.clear_pause();
+  ASSERT_TRUE(e.run().clean());
+  EXPECT_EQ(log, cold);
 }
 
 TEST(Engine, EndTimeIsMaxClock) {
