@@ -89,7 +89,9 @@ inline sweep::ServiceOptions service_options(const util::Options& opts) {
   s.cache_path = opts.get_string("cache", "");
   s.listen = opts.get_string("listen", "");
   const std::string secret_file = opts.get_string("secret-file", "");
-  if (!secret_file.empty()) s.secret = sweep::auth::load_secret_file(secret_file);
+  if (!secret_file.empty()) {
+    s.remote.secret = sweep::auth::load_secret_file(secret_file);
+  }
   return s;
 }
 

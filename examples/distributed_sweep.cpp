@@ -12,10 +12,10 @@
 //   sweep-workerd --connect=127.0.0.1:17117 &   # x3, then SIGKILL one
 //   cmp local.json r.json                       # byte-identical
 //
-// Worker count, chunk cuts, mid-sweep worker deaths, re-dispatch —
-// all invisible on stdout. Host-side accounting (fleet size, workers
-// lost, chunks re-dispatched, duplicates suppressed, local-fallback
-// points) goes to STDERR.
+// Worker count, which worker ran which point, mid-sweep worker deaths,
+// re-dispatch — all invisible on stdout. Host-side accounting (fleet
+// size, workers lost, leases re-dispatched, duplicates suppressed,
+// points handed back to the local pool) goes to STDERR.
 //
 // Flags: --listen=H:P  --wait-workers=N  --wait-timeout-ms=MS
 //        --points=N  --ranks=N  --nrows=N  --iters=N
@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
                            " iters=" + std::to_string(iters);
 
   // Seed x protocol grid: every point a distinct digest, SDR and Native
-  // interleaved so chunks mix cheap and expensive simulations.
+  // interleaved so each worker's lease stream mixes cheap and expensive
+  // simulations.
   std::vector<std::string> labels;
   std::vector<core::RunConfig> configs;
   for (int i = 0; i < npoints; ++i) {
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   const std::string secret_file = opts.get_string("secret-file", "");
   if (!secret_file.empty()) {
     try {
-      sopts.secret = sweep::auth::load_secret_file(secret_file);
+      sopts.remote.secret = sweep::auth::load_secret_file(secret_file);
     } catch (const std::exception& e) {
       std::cerr << "distributed_sweep: " << e.what() << "\n";
       return 2;

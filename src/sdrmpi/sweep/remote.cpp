@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -13,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sdrmpi/core/launcher.hpp"
@@ -74,34 +72,33 @@ struct RemoteCoordinator::Impl {
   std::uint32_t generation = 0;
   Clock::time_point fleet_empty_since{};  // set when live_workers hits 0
 
-  struct WorkerConn {
-    int id = -1;
-    int fd = -1;
-    std::string name;
-    std::thread reader;
-    Clock::time_point last_seen;
-    bool alive = true;
-    bool hungry = false;        // sent a WorkRequest not yet served
-    std::uint64_t ewma_ns = 0;  // self-reported per-point cost estimate
-    std::mutex write_mu;  // dispatch / shutdown frames interleave safely
-  };
-  std::vector<std::unique_ptr<WorkerConn>> workers;  // every worker ever
-
-  /// One undispatched point. Where PR 8 queued fixed chunks, the pull
-  /// scheduler queues points and cuts a chunk to size at serve time, so
-  /// a slow worker draws one point while a fast one draws dozens.
+  /// One undispatched point, queued in input order.
   struct PendingItem {
     std::uint32_t point = 0;  // index into the run's point table
     int attempt = 1;          // dispatch attempts incl. the next one
     Clock::time_point not_before;
     int prev_worker = -1;  // last holder; re-dispatch prefers someone else
   };
-  struct Assignment {
-    int worker_id = -1;
-    std::vector<PendingItem> items;  // still undelivered under this lease
-    Clock::time_point lease_deadline;
-    bool active = false;
+  /// A dispatched, unanswered point: the lease its holder keeps.
+  struct Lease {
+    PendingItem item;
+    Clock::time_point deadline;
   };
+
+  struct WorkerConn {
+    int id = -1;
+    int fd = -1;
+    std::thread reader;
+    Clock::time_point last_seen;
+    bool alive = true;
+    bool hungry = false;  // sent a WorkRequest not yet served
+    /// At most two: the point being simulated and the one-deep prefetch
+    /// (a worker asks for its next point as soon as a dispatch arrives).
+    std::vector<Lease> held;
+    std::mutex write_mu;  // dispatch / shutdown frames interleave safely
+  };
+  std::vector<std::unique_ptr<WorkerConn>> workers;  // every worker ever
+
   struct PointState {
     bool done = false;
     bool have_result_hash = false;
@@ -111,10 +108,9 @@ struct RemoteCoordinator::Impl {
     std::vector<RemotePoint> pts;
     std::vector<PointState> state;
     std::deque<PendingItem> queue;
-    std::vector<Assignment> assignments;
     std::size_t undone = 0;
     std::string fatal;
-    /// Last time the scheduler moved: a chunk served, a result delivered,
+    /// Last time the scheduler moved: a point served, a result delivered,
     /// or a lease recycled. Drives the stuck-fleet aging below — a pull
     /// scheduler never hands work to a fleet that stops asking, so budget
     /// exhaustion must be measured in wall time, not bounced dispatches.
@@ -206,13 +202,12 @@ struct RemoteCoordinator::Impl {
     }
     std::uint32_t proto = 0, codec = 0;
     std::uint8_t key_version = 0;
-    std::string name;
     try {
       ByteReader r(payload);
       proto = r.u32();
       key_version = r.u8();
       codec = r.u32();
-      name = r.str();
+      (void)r.str();  // worker name: must parse, not used by the scheduler
     } catch (const CodecError&) {
       reject("malformed hello frame");
       return;
@@ -247,7 +242,6 @@ struct RemoteCoordinator::Impl {
     auto conn = std::make_unique<WorkerConn>();
     WorkerConn* w = conn.get();
     w->fd = fd;
-    w->name = std::move(name);
     w->last_seen = Clock::now();
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -322,43 +316,22 @@ struct RemoteCoordinator::Impl {
   void reader_loop_body(WorkerConn* w) {
     for (;;) {
       frame::FrameHeader h;
-      frame::IoError err;
-      if (!frame::read_frame_header(w->fd, h, &err)) return;
-      const bool control = h.kind != frame::kFrameResult &&
-                           h.kind != frame::kFrameInvalidConfig &&
-                           h.kind != frame::kFrameRuntimeError;
-      if (control && h.len > kMaxControlPayload) return;  // confused peer
+      if (!frame::read_frame_header(w->fd, h)) return;
+      const bool delivery = h.kind == frame::kFrameResult ||
+                            h.kind == frame::kFrameInvalidConfig ||
+                            h.kind == frame::kFrameRuntimeError;
+      if (!delivery && h.len > kMaxControlPayload) return;  // confused peer
       std::vector<std::byte> payload(h.len);
-      if (h.len > 0 &&
-          !frame::read_all(w->fd, payload.data(), h.len, &err)) {
-        return;
-      }
+      if (h.len > 0 && !frame::read_all(w->fd, payload.data(), h.len)) return;
       std::lock_guard<std::mutex> lk(mu);
       w->last_seen = Clock::now();
-      if (h.kind == frame::kFrameResult ||
-          h.kind == frame::kFrameInvalidConfig ||
-          h.kind == frame::kFrameRuntimeError) {
-        handle_delivery(h, payload);
+      if (delivery) {
+        handle_delivery(w, h, payload);
       } else if (h.kind == kFrameWorkRequest) {
         w->hungry = true;
-        if (payload.size() >= 8) {
-          try {
-            ByteReader r(payload);
-            w->ewma_ns = r.u64();
-          } catch (const CodecError&) {
-          }
-        }
-      } else if (h.kind == kFrameHeartbeat && payload.size() >= 8) {
-        // Heartbeats piggyback the throughput estimate so chunk sizing
-        // tracks a worker that sped up or slowed down mid-lease.
-        try {
-          ByteReader r(payload);
-          w->ewma_ns = r.u64();
-        } catch (const CodecError&) {
-        }
       }
-      // Empty heartbeats (and unknown kinds, for forward compatibility)
-      // only refresh last_seen.
+      // Heartbeats (and unknown kinds, for forward compatibility) only
+      // refresh last_seen.
       cv.notify_all();
     }
   }
@@ -366,7 +339,7 @@ struct RemoteCoordinator::Impl {
   /// mu held. Exactly-once delivery with duplicate suppression: the first
   /// result for a point wins; a late twin is counted and digest-compared
   /// (determinism says they must match bit-for-bit).
-  void handle_delivery(const frame::FrameHeader& h,
+  void handle_delivery(WorkerConn* w, const frame::FrameHeader& h,
                        const std::vector<std::byte>& payload) {
     const auto gen = static_cast<std::uint32_t>(h.id >> 32);
     const auto p = static_cast<std::uint32_t>(h.id & 0xffffffffu);
@@ -375,6 +348,9 @@ struct RemoteCoordinator::Impl {
       return;
     }
     if (p >= run->state.size()) return;  // malformed id: drop
+    // The answer ends the sender's lease on p (a lease-expired holder has
+    // none left; its answer may still win below).
+    std::erase_if(w->held, [p](const Lease& l) { return l.item.point == p; });
     run->last_progress = Clock::now();
     PointState& ps = run->state[p];
     if (ps.done) {
@@ -390,7 +366,6 @@ struct RemoteCoordinator::Impl {
     }
     ps.done = true;
     --run->undone;
-    retire_from_assignments(p);
     const std::size_t external_id = run->pts[p].id;
     if (h.kind == frame::kFrameResult) {
       core::RunResult result;
@@ -414,38 +389,24 @@ struct RemoteCoordinator::Impl {
     }
   }
 
-  /// mu held. Drops `p` from every live lease so expiry re-dispatches
-  /// only genuinely undelivered points.
-  void retire_from_assignments(std::uint32_t p) {
-    for (Assignment& a : run->assignments) {
-      if (!a.active) continue;
-      a.items.erase(std::remove_if(a.items.begin(), a.items.end(),
-                                   [p](const PendingItem& it) {
-                                     return it.point == p;
-                                   }),
-                    a.items.end());
-      if (a.items.empty()) a.active = false;
-    }
-  }
-
-  /// mu held. Requeues an assignment's undelivered items for re-dispatch
-  /// (next attempt, backoff, avoid the previous holder).
-  void recycle_assignment(Assignment& a, const Clock::time_point now) {
-    a.active = false;
-    bool any = false;
-    for (PendingItem& it : a.items) {
-      if (run->state[it.point].done) continue;
+  /// mu held, run active. Requeues w's undelivered leases — all of them,
+  /// or only those past their deadline — for re-dispatch (next attempt,
+  /// backoff, avoid this holder). Each requeued lease is one re-dispatch
+  /// event.
+  void recycle_leases(WorkerConn* w, const Clock::time_point now,
+                      bool expired_only) {
+    std::erase_if(w->held, [&](const Lease& l) {
+      if (expired_only && now < l.deadline) return false;
+      if (run->state[l.item.point].done) return true;
+      PendingItem it = l.item;
       ++it.attempt;
       it.not_before = now + backoff(it.attempt);
-      it.prev_worker = a.worker_id;
+      it.prev_worker = w->id;
       run->queue.push_back(it);
-      any = true;
-    }
-    a.items.clear();
-    if (any) {
       ++stats->chunks_redispatched;
       run->last_progress = now;  // the scheduler moved; aging restarts
-    }
+      return true;
+    });
   }
 
   /// mu held. Declares a worker dead (reader EOF/error or heartbeat
@@ -461,17 +422,14 @@ struct RemoteCoordinator::Impl {
       if (by_deadline) ++stats->heartbeats_missed;
     }
     if (w->fd >= 0) ::shutdown(w->fd, SHUT_RDWR);
-    if (run == nullptr) return;
-    const Clock::time_point now = Clock::now();
-    for (Assignment& a : run->assignments) {
-      if (!a.active || a.worker_id != w->id) continue;
-      recycle_assignment(a, now);
-    }
+    if (run != nullptr) recycle_leases(w, Clock::now(), /*expired_only=*/false);
   }
 
   // ---- scheduler (run() caller's thread) ---------------------------------
 
-  void drive(RunState& rs) {
+  /// Returns the ids of the points the fleet could not place (all undone
+  /// points once the fleet is gone), in input order.
+  std::vector<std::size_t> drive(RunState& rs) {
     std::unique_lock<std::mutex> lk(mu);
     ++generation;
     run = &rs;
@@ -479,6 +437,7 @@ struct RemoteCoordinator::Impl {
     const Clock::time_point reg_deadline =
         Clock::now() +
         std::chrono::milliseconds(tuning.registration_wait_ms);
+    std::vector<std::size_t> leftovers;
 
     while (rs.undone > 0 && rs.fatal.empty()) {
       const Clock::time_point now = Clock::now();
@@ -497,10 +456,7 @@ struct RemoteCoordinator::Impl {
       //    undelivered points to a survivor; its late results are
       //    suppressed as duplicates when they eventually arrive.
       if (tuning.lease_ms > 0) {
-        for (Assignment& a : rs.assignments) {
-          if (!a.active || now < a.lease_deadline) continue;
-          recycle_assignment(a, now);
-        }
+        for (auto& w : workers) recycle_leases(w.get(), now, true);
       }
 
       // 3. Stuck-fleet aging. A pull scheduler cannot burn the budget by
@@ -530,15 +486,15 @@ struct RemoteCoordinator::Impl {
       drain_over_budget(rs);
       if (rs.undone == 0 || !rs.fatal.empty()) break;
 
-      // 5. Serve hungry workers: cut each requester a chunk sized to its
-      //    reported throughput.
+      // 5. Serve hungry workers one point each.
       const bool served = serve_hungry(lk, rs);
       if (rs.undone == 0 || !rs.fatal.empty()) break;
       if (served) continue;  // re-examine state after the writes
 
-      // 6. Degrade to local execution when the fleet is gone: the last
-      //    worker died mid-sweep (and any supervisor grace window has
-      //    lapsed), or nobody registered within the window.
+      // 6. Hand the rest back when the fleet is gone: the last worker
+      //    died mid-sweep (and any supervisor grace window has lapsed),
+      //    or nobody registered within the window. Every lease died with
+      //    its worker, so the undone points are exactly the leftovers.
       if (live_workers == 0) {
         const bool window_over =
             ever_registered
@@ -546,16 +502,21 @@ struct RemoteCoordinator::Impl {
                       std::chrono::milliseconds(tuning.fleet_death_grace_ms)
                 : Clock::now() >= reg_deadline;
         if (window_over) {
-          local_fallback(lk, rs);
-          continue;
+          for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
+            if (!rs.state[p].done) leftovers.push_back(rs.pts[p].id);
+          }
+          break;
         }
       }
 
       // 7. Sleep until the next deadline could fire (or a frame arrives).
       cv.wait_for(lk, next_wakeup(rs));
     }
+    // Leases end with the run: a late answer is a straggler from here on.
+    for (auto& w : workers) w->held.clear();
     run = nullptr;
     if (!rs.fatal.empty()) throw WorkerError(rs.fatal);
+    return leftovers;
   }
 
   /// mu held. Errors out every queued point past the re-dispatch budget.
@@ -569,7 +530,7 @@ struct RemoteCoordinator::Impl {
         --rs.undone;
         (*rs.on_error)(PointError{
             rs.pts[it.point].id, false,
-            "remote sweep: chunk abandoned after " +
+            "remote sweep: point abandoned after " +
                 std::to_string(it.attempt - 1) +
                 " dispatch attempts (re-dispatch budget " +
                 std::to_string(tuning.redispatch_budget) + ")"});
@@ -580,135 +541,53 @@ struct RemoteCoordinator::Impl {
   }
 
   /// mu held (released around socket writes). Serves every hungry live
-  /// worker a chunk cut from the due queue: size targets
-  /// target_chunk_ms of work at the worker's reported per-point EWMA,
-  /// clamped to its fair share of what is due; a worker with no estimate
-  /// yet draws a single probe point. Returns true when at least one
-  /// dispatch frame went out.
+  /// worker the first due point in the queue, skipping one just taken
+  /// back from that worker while anyone else is alive to try it. Returns
+  /// true when at least one dispatch frame went out.
   bool serve_hungry(std::unique_lock<std::mutex>& lk, RunState& rs) {
     bool any = false;
     for (std::size_t wi = 0; wi < workers.size(); ++wi) {
       WorkerConn* w = workers[wi].get();
-      if (!w->alive || !w->hungry || rs.queue.empty()) continue;
+      if (!w->alive || !w->hungry) continue;
       const Clock::time_point now = Clock::now();
+      const auto due = std::find_if(
+          rs.queue.begin(), rs.queue.end(), [&](const PendingItem& it) {
+            return !rs.state[it.point].done && now >= it.not_before &&
+                   (it.prev_worker != w->id || live_workers <= 1);
+          });
+      if (due == rs.queue.end()) continue;
+      const PendingItem it = *due;
+      rs.queue.erase(due);
 
-      // Eligible = due, undone, and not bounced straight back to the
-      // holder it just expired from (when anyone else is alive to try).
-      auto eligible = [&](const PendingItem& it) {
-        return !rs.state[it.point].done && now >= it.not_before &&
-               (it.prev_worker != w->id || live_workers <= 1);
-      };
-      std::size_t due = 0;
-      for (const PendingItem& it : rs.queue) {
-        if (eligible(it)) ++due;
-      }
-      if (due == 0) continue;
-
-      std::size_t want = 1;  // no estimate: probe with one point
-      if (w->ewma_ns > 0) {
-        const double target_ns =
-            static_cast<double>(tuning.target_chunk_ms) * 1e6;
-        const auto by_rate = static_cast<std::size_t>(std::max(
-            1.0, target_ns / static_cast<double>(w->ewma_ns)));
-        const std::size_t fair =
-            (due + live_workers - 1) / std::max<std::size_t>(1, live_workers);
-        want = std::clamp<std::size_t>(by_rate, 1,
-                                       std::max<std::size_t>(1, fair));
-      }
-
-      Assignment a;
-      a.worker_id = w->id;
-      for (std::size_t scan = rs.queue.size();
-           scan > 0 && a.items.size() < want; --scan) {
-        PendingItem it = rs.queue.front();
-        rs.queue.pop_front();
-        if (rs.state[it.point].done) continue;
-        if (!eligible(it)) {
-          rs.queue.push_back(it);
-          continue;
-        }
-        a.items.push_back(it);
-      }
-      if (a.items.empty()) continue;
-
+      // Dispatch payload: [u32 cfg_len][cfg][spec]; the reply id rides in
+      // the frame header.
       ByteWriter msg;
-      msg.u32(static_cast<std::uint32_t>(a.items.size()));
-      for (const PendingItem& it : a.items) {
-        msg.u64(make_reply_id(generation, it.point));
-        const auto cfg_bytes = serialize_config(*rs.pts[it.point].cfg);
-        msg.u32(static_cast<std::uint32_t>(cfg_bytes.size()));
-        for (std::byte b : cfg_bytes) msg.u8(std::to_integer<std::uint8_t>(b));
-        msg.str(rs.pts[it.point].spec);
-      }
-      a.lease_deadline =
-          now + std::chrono::milliseconds(
-                    tuning.lease_ms > 0 ? tuning.lease_ms : 1 << 30);
-      a.active = true;
+      const auto cfg_bytes = serialize_config(*rs.pts[it.point].cfg);
+      msg.u32(static_cast<std::uint32_t>(cfg_bytes.size()));
+      for (std::byte b : cfg_bytes) msg.u8(std::to_integer<std::uint8_t>(b));
+      msg.str(rs.pts[it.point].spec);
+      const std::uint64_t reply_id = make_reply_id(generation, it.point);
+      w->held.push_back(
+          Lease{it, now + std::chrono::milliseconds(tuning.lease_ms)});
       w->hungry = false;
       rs.last_progress = now;
-      rs.assignments.push_back(std::move(a));
 
       lk.unlock();
       bool ok;
       {
         std::lock_guard<std::mutex> wl(w->write_mu);
         ok = w->fd >= 0 &&
-             frame::write_frame(w->fd, kFrameDispatch, 0, msg.bytes().data(),
-                                msg.bytes().size());
+             frame::write_frame(w->fd, kFrameDispatch, reply_id,
+                                msg.bytes().data(), msg.bytes().size());
       }
       lk.lock();
       if (!ok) {
-        declare_dead(w, /*by_deadline=*/false);  // requeues the assignment
+        declare_dead(w, /*by_deadline=*/false);  // requeues the lease
       } else {
         any = true;
       }
     }
     return any;
-  }
-
-  /// mu held on entry/exit, released while simulating. Runs every point
-  /// still undone on the calling thread — the sweep completes even with
-  /// zero surviving workers.
-  void local_fallback(std::unique_lock<std::mutex>& lk, RunState& rs) {
-    // All leases are dead (their workers are), so the queue plus any
-    // never-dispatched item covers every undone point.
-    std::vector<std::uint32_t> todo;
-    for (std::uint32_t p = 0; p < rs.state.size(); ++p) {
-      if (!rs.state[p].done) todo.push_back(p);
-    }
-    rs.queue.clear();
-    for (Assignment& a : rs.assignments) a.active = false;
-    lk.unlock();
-    for (std::uint32_t p : todo) {
-      const RemotePoint& pt = rs.pts[p];
-      core::RunResult result;
-      bool ok = false;
-      PointError err;
-      err.id = pt.id;
-      try {
-        result = core::run(*pt.cfg, *pt.app);
-        ok = true;
-      } catch (const std::invalid_argument& e) {
-        err.invalid_config = true;
-        err.message = e.what();
-      } catch (const std::exception& e) {
-        err.message = e.what();
-      }
-      lk.lock();
-      if (!rs.state[p].done) {  // a straggler frame may have beaten us
-        rs.state[p].done = true;
-        --rs.undone;
-        ++stats->local_fallback_points;
-        if (ok) {
-          rs.state[p].have_result_hash = false;
-          (*rs.on_result)(pt.id, std::move(result));
-        } else {
-          (*rs.on_error)(std::move(err));
-        }
-      }
-      lk.unlock();
-    }
-    lk.lock();
   }
 
   [[nodiscard]] Clock::duration next_wakeup(const RunState& rs) const {
@@ -731,8 +610,8 @@ struct RemoteCoordinator::Impl {
       }
     }
     if (tuning.lease_ms > 0) {
-      for (const Assignment& a : rs.assignments) {
-        if (a.active) consider(a.lease_deadline - now);
+      for (const auto& w : workers) {
+        for (const Lease& l : w->held) consider(l.deadline - now);
       }
       if (live_workers > 0 && !rs.queue.empty()) {
         consider(rs.last_progress +
@@ -775,26 +654,21 @@ RemoteStats RemoteCoordinator::stats() const {
   return stats_;
 }
 
-void RemoteCoordinator::run(
+std::vector<std::size_t> RemoteCoordinator::run(
     const std::vector<RemotePoint>& points,
     const std::function<void(std::size_t, core::RunResult&&)>& on_result,
     const std::function<void(PointError&&)>& on_error) {
+  if (points.empty()) return {};
   Impl::RunState rs;
   rs.on_result = &on_result;
   rs.on_error = &on_error;
-  // Points are queued individually; chunks are cut to worker-reported
-  // throughput at serve time. Input order is preserved.
   rs.pts = points;
   for (std::size_t p = 0; p < points.size(); ++p) {
-    Impl::PendingItem item;
-    item.point = static_cast<std::uint32_t>(p);
-    item.not_before = Clock::now();
-    rs.queue.push_back(item);
+    rs.queue.push_back({.point = static_cast<std::uint32_t>(p)});
   }
   rs.state.resize(rs.pts.size());
   rs.undone = rs.pts.size();
-  if (rs.undone == 0) return;
-  impl_->drive(rs);
+  return impl_->drive(rs);
 }
 
 // -------------------------------------------------------------- worker
@@ -808,7 +682,12 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
 
   // Registration handshake: versions first, then the optional HMAC
   // challenge, work last. The Hello payload is kept verbatim — the MAC
-  // binds to exactly the bytes the coordinator read.
+  // binds to exactly the bytes the coordinator read. Every failure here
+  // closes the socket and throws.
+  auto refuse = [fd](const std::string& why) {
+    ::close(fd);
+    return std::runtime_error("sweep worker: " + why);
+  };
   std::vector<std::byte> hello_bytes;
   {
     ByteWriter hello;
@@ -819,54 +698,39 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     hello_bytes = hello.take();
     if (!frame::write_frame(fd, kFrameHello, 0, hello_bytes.data(),
                             hello_bytes.size())) {
-      ::close(fd);
-      throw std::runtime_error("sweep worker: coordinator hung up mid-hello");
+      throw refuse("coordinator hung up mid-hello");
     }
   }
   std::uint32_t heartbeat_interval_ms = 1000;
   bool authed = false;
   for (;;) {
     if (!wait_readable(fd, opts.connect_timeout_ms)) {
-      ::close(fd);
-      throw std::runtime_error(
-          "sweep worker: no registration reply from coordinator");
+      throw refuse("no registration reply from coordinator");
     }
     frame::FrameHeader h;
     if (!frame::read_frame_header(fd, h)) {
-      ::close(fd);
-      throw std::runtime_error(
-          "sweep worker: coordinator closed during registration");
+      throw refuse("coordinator closed during registration");
     }
     if (h.len > kMaxControlPayload) {
       // Registration replies are tiny; a multi-gigabyte length claim is a
       // confused or hostile peer, not a frame worth allocating for.
-      ::close(fd);
-      throw std::runtime_error(
-          "sweep worker: oversized registration frame");
+      throw refuse("oversized registration frame");
     }
     std::vector<std::byte> payload(h.len);
     if (h.len > 0 && !frame::read_all(fd, payload.data(), h.len)) {
-      ::close(fd);
-      throw std::runtime_error("sweep worker: torn registration reply");
+      throw refuse("torn registration reply");
     }
     if (h.kind == kFrameHelloReject) {
-      ::close(fd);
-      throw std::runtime_error(
-          "sweep worker: registration rejected: " +
-          std::string(reinterpret_cast<const char*>(payload.data()),
-                      payload.size()));
+      throw refuse("registration rejected: " +
+                   std::string(reinterpret_cast<const char*>(payload.data()),
+                               payload.size()));
     }
     if (h.kind == kFrameAuthChallenge) {
       if (opts.secret.empty()) {
-        ::close(fd);
-        throw std::runtime_error(
-            "sweep worker: coordinator requires authentication "
-            "(--secret-file)");
+        throw refuse("coordinator requires authentication (--secret-file)");
       }
       if (authed || payload.size() != auth::kNonceSize) {
-        ::close(fd);
-        throw std::runtime_error(
-            "sweep worker: malformed authentication challenge");
+        throw refuse("malformed authentication challenge");
       }
       auth::Nonce nonce;
       std::memcpy(nonce.data(), payload.data(), nonce.size());
@@ -874,25 +738,21 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
           auth::registration_mac(opts.secret, hello_bytes, nonce);
       if (!frame::write_frame(fd, kFrameAuthResponse, 0, mac.data(),
                               mac.size())) {
-        ::close(fd);
-        throw std::runtime_error(
-            "sweep worker: coordinator hung up mid-authentication");
+        throw refuse("coordinator hung up mid-authentication");
       }
       authed = true;
       continue;  // the verdict (HelloAck / HelloReject) comes next
     }
     if (h.kind != kFrameHelloAck) {
-      ::close(fd);
-      throw std::runtime_error("sweep worker: unexpected registration frame");
+      throw refuse("unexpected registration frame");
     }
     if (!opts.secret.empty() && !authed) {
       // A worker provisioned with a secret must not silently serve an
       // unauthenticated coordinator: that would defeat the operator's
       // intent on exactly the machine that holds real workloads.
-      ::close(fd);
-      throw std::runtime_error(
-          "sweep worker: coordinator did not request authentication; "
-          "refusing to serve it with --secret-file set");
+      throw refuse(
+          "coordinator did not request authentication; refusing to serve "
+          "it with --secret-file set");
     }
     try {
       ByteReader r(payload);
@@ -903,10 +763,6 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     break;
   }
   set_send_timeout(fd, static_cast<int>(heartbeat_interval_ms) * 4 + 1000);
-
-  // Per-point cost estimate (EWMA over host execution time) shared with
-  // the heartbeat thread: the coordinator sizes our next chunk from it.
-  std::atomic<std::uint64_t> ewma_ns{0};
 
   // Heartbeat thread: beats even while a long simulation runs — that is
   // the whole point (busy != dead; only silence is death).
@@ -927,12 +783,8 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
       }
       if (budget == 0) continue;  // test hook: fall silent, stay connected
       if (budget > 0) --budget;
-      ByteWriter beat;
-      beat.u64(ewma_ns.load(std::memory_order_relaxed));
       std::lock_guard<std::mutex> wl(write_mu);
-      frame::IoError err;
-      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, beat.bytes().data(),
-                              beat.bytes().size(), &err)) {
+      if (!frame::write_frame(fd, kFrameHeartbeat, seq++, nullptr, 0)) {
         return;  // coordinator gone; the main loop will notice on read
       }
     }
@@ -946,92 +798,64 @@ void run_worker(const std::string& coordinator, const AppResolver& resolver,
     heartbeat.join();
   };
 
-  // Pull scheduling: ask for work now and after every finished batch.
+  // Pull scheduling: ask for one point now and again as soon as each
+  // dispatch arrives.
   auto request_work = [&]() -> bool {
-    ByteWriter req;
-    req.u64(ewma_ns.load(std::memory_order_relaxed));
     std::lock_guard<std::mutex> wl(write_mu);
-    const bool ok = frame::write_frame(fd, kFrameWorkRequest, 0,
-                                       req.bytes().data(), req.bytes().size());
+    const bool ok = frame::write_frame(fd, kFrameWorkRequest, 0, nullptr, 0);
     if (ok && opts.stats != nullptr) ++opts.stats->work_requests;
     return ok;
   };
   request_work();
 
-  bool aborted = false;
   for (;;) {
     frame::FrameHeader h;
-    frame::IoError err;
-    if (!frame::read_frame_header(fd, h, &err)) break;  // coordinator gone
+    if (!frame::read_frame_header(fd, h)) break;  // coordinator gone
     std::vector<std::byte> payload(h.len);
-    if (h.len > 0 && !frame::read_all(fd, payload.data(), h.len, &err)) break;
+    if (h.len > 0 && !frame::read_all(fd, payload.data(), h.len)) break;
     if (h.kind == kFrameShutdown) break;
     if (h.kind != kFrameDispatch) continue;  // forward compatibility
     if (opts.stats != nullptr) ++opts.stats->dispatches;
+    // One-deep prefetch: the next request travels while this point
+    // simulates, so the round trip stays off the critical path.
+    if (!request_work()) break;
 
-    bool connection_lost = false;
+    std::vector<std::byte> cfg_bytes;
+    std::string spec;
     try {
       ByteReader r(payload);
-      const std::uint32_t npoints = r.u32();
-      for (std::uint32_t i = 0; i < npoints && !connection_lost; ++i) {
-        const std::uint64_t reply_id = r.u64();
-        const std::uint32_t cfg_len = r.u32();
-        std::vector<std::byte> cfg_bytes(cfg_len);
-        for (std::uint32_t b = 0; b < cfg_len; ++b) {
-          cfg_bytes[b] = static_cast<std::byte>(r.u8());
-        }
-        const std::string spec = r.str();
-
-        std::uint8_t kind = frame::kFrameResult;
-        std::vector<std::byte> reply;
-        const Clock::time_point t0 = Clock::now();
-        try {
-          const core::RunConfig cfg = deserialize_config(cfg_bytes);
-          const core::AppFn app = resolver(cfg, spec);
-          core::RunResult result = core::run(cfg, app);
-          reply = encode_result(result);
-        } catch (const std::invalid_argument& e) {
-          kind = frame::kFrameInvalidConfig;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        } catch (const CodecError& e) {
-          kind = frame::kFrameInvalidConfig;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        } catch (const std::exception& e) {
-          kind = frame::kFrameRuntimeError;
-          const std::string msg = e.what();
-          reply.resize(msg.size());
-          std::memcpy(reply.data(), msg.data(), msg.size());
-        }
-        const auto point_ns = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(
-                1, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       Clock::now() - t0)
-                       .count()));
-        const std::uint64_t prev = ewma_ns.load(std::memory_order_relaxed);
-        ewma_ns.store(prev == 0 ? point_ns : (prev * 7 + point_ns) / 8,
-                      std::memory_order_relaxed);
-        if (opts.stats != nullptr) {
-          ++opts.stats->points_executed;
-          opts.stats->ewma_ns = ewma_ns.load(std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> wl(write_mu);
-        frame::IoError werr;
-        if (!frame::write_frame(fd, kind, reply_id, reply.data(),
-                                reply.size(), &werr)) {
-          connection_lost = true;  // EPIPE/RST: coordinator is gone
-        }
-      }
+      cfg_bytes.resize(r.u32());
+      for (std::byte& b : cfg_bytes) b = static_cast<std::byte>(r.u8());
+      spec = r.str();
     } catch (const CodecError&) {
       break;  // malformed dispatch: treat the stream as torn
-    } catch (const WorkerAbort&) {
-      aborted = true;  // test hook: simulate a fail-stop crash
     }
-    if (connection_lost || aborted) break;
-    if (!request_work()) break;  // batch done: ask for the next chunk
+
+    std::uint8_t kind = frame::kFrameResult;
+    std::vector<std::byte> reply;
+    auto fail = [&kind, &reply](std::uint8_t k, const std::string& msg) {
+      kind = k;
+      reply.resize(msg.size());
+      std::memcpy(reply.data(), msg.data(), msg.size());
+    };
+    try {
+      const core::RunConfig cfg = deserialize_config(cfg_bytes);
+      const core::AppFn app = resolver(cfg, spec);
+      reply = encode_result(core::run(cfg, app));
+    } catch (const WorkerAbort&) {
+      break;  // test hook: simulate a fail-stop crash
+    } catch (const std::invalid_argument& e) {
+      fail(frame::kFrameInvalidConfig, e.what());
+    } catch (const CodecError& e) {
+      fail(frame::kFrameInvalidConfig, e.what());
+    } catch (const std::exception& e) {
+      fail(frame::kFrameRuntimeError, e.what());
+    }
+    if (opts.stats != nullptr) ++opts.stats->points_executed;
+    std::lock_guard<std::mutex> wl(write_mu);
+    if (!frame::write_frame(fd, kind, h.id, reply.data(), reply.size())) {
+      break;  // EPIPE/RST: coordinator is gone
+    }
   }
 
   stop_heartbeat();

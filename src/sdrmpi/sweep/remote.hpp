@@ -2,12 +2,12 @@
 // behind the SweepService seam.
 //
 // The coordinator listens on TCP (transport.hpp); sweep-workerd processes
-// connect, register, and execute dispatched chunks. The wire protocol is
+// connect, register, and execute dispatched points. The wire protocol is
 // the length-prefixed result frame format (frame_io.hpp) with
 // coordination kinds layered on top; configs cross the wire as canonical
 // config_key bytes (deserialize(serialize(c)) == c exactly), so a remote
-// simulation starts from a bit-identical RunConfig — chunk cuts, worker
-// count, and failure timing are invisible in results.
+// simulation starts from a bit-identical RunConfig — worker count,
+// dispatch order, and failure timing are invisible in results.
 //
 // This is also the single-host process-isolation backend: a coordinator
 // on 127.0.0.1 plus local sweep-workerd processes keeps a crashing
@@ -22,30 +22,32 @@
 //    handshake adds an HMAC challenge/response (auth.hpp): a wrong or
 //    missing secret draws a reasoned HelloReject before any config bytes
 //    cross the wire.
-//  - Worker-pull scheduling: workers *request* chunks (WorkRequest
-//    frames) sized from the per-point throughput EWMA they report in
-//    heartbeats, so a slow worker drains a short queue while a fast one
-//    streams — heterogeneous fleets stay busy without the coordinator
-//    guessing speeds. The lease/re-dispatch/first-wins machinery below is
-//    unchanged; pull only decides who gets how much, never what a result
-//    looks like.
+//  - Worker-pull scheduling: every WorkRequest frame is answered with
+//    exactly one point, and a worker sends its next request as soon as a
+//    dispatch arrives, before simulating it. That one-deep prefetch keeps
+//    the request round trip off the critical path, and pulling balances a
+//    heterogeneous fleet by itself: a fast worker simply asks more often.
+//    Scheduling decides who runs a point, never what its result is.
 //  - Heartbeats: workers beat at the interval the coordinator advertises
 //    in its HelloAck; a worker silent past heartbeat_deadline_ms is
 //    declared dead even if the kernel still holds its socket open (hung
 //    host, network partition).
-//  - Chunk leases: every dispatch carries an implicit lease. A dead
-//    worker's undelivered points — or a live-but-stalled worker's after
-//    lease_ms — are re-dispatched to survivors with capped exponential
-//    backoff, up to a re-dispatch budget per chunk; past the budget the
-//    points surface as hard errors rather than spinning forever.
+//  - Point leases: every dispatch carries an implicit lease, kept with
+//    the worker that holds it (at most two: one simulating, one
+//    prefetched). A dead worker's undelivered points — or a
+//    live-but-stalled worker's after lease_ms — are re-dispatched to
+//    survivors with capped exponential backoff, up to a re-dispatch
+//    budget per point; past the budget the points surface as hard errors
+//    rather than spinning forever.
 //  - Duplicate suppression: results are deterministic, so the first
 //    result for a point wins and a late answer from a lease-expired
 //    worker is counted, digest-compared against the first (a mismatch is
 //    a determinism violation and fails the sweep loudly), and dropped —
 //    never double-delivered, never double-stored.
 //  - Graceful degradation: when the last worker dies (or none ever
-//    registers), the coordinator finishes the remaining points locally
-//    in-process. A sweep never fails because the fleet did.
+//    registers), run() returns the points it could not place and the
+//    sweep service runs them on its in-process pool. A sweep never fails
+//    because the fleet did, and the coordinator never simulates.
 #pragma once
 
 #include <cstddef>
@@ -63,11 +65,12 @@ namespace sdrmpi::sweep {
 
 /// Remote worker protocol version, exchanged in the registration
 /// handshake together with kConfigKeyVersion and kResultCodecVersion.
-/// v2: worker-pull scheduling (WorkRequest frames, EWMA-bearing
-/// heartbeats) and the optional HMAC challenge/response (auth.hpp) —
-/// a v1 worker would wait forever for pushed chunks, so the version gate
-/// rejects it at registration instead.
-inline constexpr std::uint32_t kRemoteProtocolVersion = 2;
+/// v2: worker-pull scheduling and the optional HMAC challenge/response
+/// (auth.hpp). v3: one point per dispatch (payload
+/// [u32 cfg_len][cfg][spec], reply id in the frame header) and empty
+/// heartbeats and WorkRequests — a v2 worker would misparse dispatches,
+/// so the version gate rejects it at registration instead.
+inline constexpr std::uint32_t kRemoteProtocolVersion = 3;
 
 // Frame kinds layered on the frame_io result/error kinds (0..2).
 inline constexpr std::uint8_t kFrameHello = 10;        ///< worker -> coord
@@ -76,8 +79,7 @@ inline constexpr std::uint8_t kFrameHelloReject = 12;  ///< coord -> worker
 inline constexpr std::uint8_t kFrameHeartbeat = 13;    ///< worker -> coord
 inline constexpr std::uint8_t kFrameDispatch = 14;     ///< coord -> worker
 inline constexpr std::uint8_t kFrameShutdown = 15;     ///< coord -> worker
-/// Worker-pull scheduling: the worker asks for its next chunk, carrying
-/// its observed per-point EWMA (u64 nanoseconds; 0 = no estimate yet).
+/// Worker-pull scheduling: the worker asks for its next point.
 inline constexpr std::uint8_t kFrameWorkRequest = 16;  ///< worker -> coord
 /// Shared-secret registration (auth.hpp): 32-byte nonce challenge and the
 /// worker's HMAC-SHA256 response over (hello payload || nonce).
@@ -87,38 +89,35 @@ inline constexpr std::uint8_t kFrameAuthResponse = 18;   ///< worker -> coord
 /// Failure-detection and re-dispatch tuning. Defaults suit real sweeps;
 /// tests shrink everything to tens of milliseconds.
 struct RemoteTuning {
-  /// How long run() waits for a first worker to register before degrading
-  /// to local execution (workers started moments after the coordinator
-  /// must not be missed).
+  /// How long run() waits for a first worker to register before handing
+  /// every point back to the service pool (workers started moments after
+  /// the coordinator must not be missed).
   int registration_wait_ms = 10000;
   /// Heartbeat period advertised to workers in the HelloAck.
   int heartbeat_interval_ms = 1000;
   /// A worker silent (no frame of any kind) past this is declared dead.
   int heartbeat_deadline_ms = 5000;
-  /// Lease on a dispatched chunk: undelivered points past this are
+  /// Lease on a dispatched point: an undelivered point past this is
   /// re-dispatched to another worker even if the holder still heartbeats
   /// (stalled != dead; its late results are suppressed as duplicates).
   /// <= 0 disables lease expiry (death detection still re-dispatches).
   int lease_ms = 120000;
-  /// Re-dispatches allowed per chunk before its undelivered points are
-  /// reported as hard errors.
+  /// Re-dispatches allowed per point before it is reported as a hard
+  /// error.
   int redispatch_budget = 3;
-  /// Capped exponential backoff between re-dispatches of the same chunk:
+  /// Capped exponential backoff between re-dispatches of the same point:
   /// min(backoff_base_ms << (attempt-1), backoff_cap_ms).
   int backoff_base_ms = 50;
   int backoff_cap_ms = 2000;
-  /// Worker-pull chunk sizing: a chunk served to a hungry worker targets
-  /// this much work, sized from the worker's reported per-point EWMA
-  /// (chunk = clamp(target_chunk_ms / ewma, 1, fair share)). A worker
-  /// with no estimate yet gets a single probe point.
-  int target_chunk_ms = 250;
-  /// Grace window after the fleet dies before the coordinator degrades to
-  /// local execution: a supervised workerd's replacement needs time to
-  /// re-exec and re-register. 0 (default) keeps the PR 8 behavior —
-  /// degrade as soon as the last worker is gone.
+  /// Grace window after the fleet dies before run() hands the remaining
+  /// points back to the service pool: a supervised workerd's replacement
+  /// needs time to re-exec and re-register. 0 (default) hands them back
+  /// as soon as the last worker is gone.
   int fleet_death_grace_ms = 0;
-  /// Shared secret for registration authentication (auth.hpp). Empty =
-  /// unauthenticated (the default; existing flows are untouched).
+  /// Shared secret for registration authentication (auth.hpp): when
+  /// non-empty the coordinator challenges every Hello with an HMAC nonce
+  /// and rejects peers that cannot answer, before any config bytes cross
+  /// the wire. Empty = unauthenticated (the default).
   std::string secret;
 };
 
@@ -128,22 +127,19 @@ struct WorkerError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Per-point failure relayed from a worker or the local fallback
-/// (exception message + whether it was a construction/invalid-config
-/// error).
+/// Per-point failure relayed from a worker (exception message + whether
+/// it was a construction/invalid-config error).
 struct PointError {
   std::size_t id = 0;
   bool invalid_config = false;
   std::string message;
 };
 
-/// One point of remote work: stable id + the coordinator-side config/app
-/// (the app is the local-degradation fallback; the spec is what a remote
-/// workerd resolves through the workload registry).
+/// One point of remote work: stable id, config, and the spec a remote
+/// workerd resolves through the workload registry.
 struct RemotePoint {
   std::size_t id = 0;
   const core::RunConfig* cfg = nullptr;
-  const core::AppFn* app = nullptr;
   std::string spec;
 };
 
@@ -153,14 +149,16 @@ struct RemoteStats {
   std::size_t workers_registered = 0;  ///< handshakes accepted, lifetime
   std::size_t workers_lost = 0;        ///< deaths declared (EOF or deadline)
   std::size_t heartbeats_missed = 0;   ///< deadline-expiry deaths only
-  std::size_t chunks_redispatched = 0; ///< re-dispatch events (death+lease)
+  /// Re-dispatch events: one per single-point lease requeued after its
+  /// holder died or its lease lapsed, plus one per stuck-fleet aging pass.
+  /// The name predates single-point leases; CI and bench JSON key on it.
+  std::size_t chunks_redispatched = 0;
   std::size_t duplicate_results = 0;   ///< late answers suppressed
-  std::size_t local_fallback_points = 0;  ///< points finished in-process
 };
 
 /// Coordinator: owns the listener and the registered-worker set for the
 /// life of the service (workers connect once and serve every run() of a
-/// cold+warm bench pair), and schedules chunks with leases per run().
+/// cold+warm bench pair), and leases points to them per run().
 class RemoteCoordinator {
  public:
   /// Binds and starts accepting immediately (listen spec "host:port",
@@ -176,14 +174,18 @@ class RemoteCoordinator {
   /// Currently registered (live) workers.
   [[nodiscard]] std::size_t connected_workers() const;
 
-  /// Executes every point; blocks until each has exactly one result or
-  /// error. Points are queued in input order and cut into chunks at serve
-  /// time. on_result/on_error are invoked from the calling thread and from
-  /// reader threads — callers serialize with their own lock. Stats
-  /// accumulate across calls.
-  void run(const std::vector<RemotePoint>& points,
-           const std::function<void(std::size_t, core::RunResult&&)>& on_result,
-           const std::function<void(PointError&&)>& on_error);
+  /// Leases every point to the fleet, one per WorkRequest, in input
+  /// order; blocks until each has exactly one result or error, or the
+  /// fleet is gone (no registration within registration_wait_ms, or no
+  /// live worker for fleet_death_grace_ms). Returns the ids of the points
+  /// it could not place, ascending, for the caller to run in-process;
+  /// those get neither callback. on_result/on_error are invoked from the
+  /// calling thread and from reader threads — callers serialize with
+  /// their own lock. Stats accumulate across calls.
+  [[nodiscard]] std::vector<std::size_t> run(
+      const std::vector<RemotePoint>& points,
+      const std::function<void(std::size_t, core::RunResult&&)>& on_result,
+      const std::function<void(PointError&&)>& on_error);
 
   /// Snapshot of the lifetime robustness counters, taken under the
   /// coordinator lock — reader threads update them concurrently, and a
@@ -204,7 +206,7 @@ using AppResolver =
                               const std::string& spec)>;
 
 /// Thrown by a test AppResolver to simulate a fail-stop worker crash:
-/// run_worker hard-closes the socket mid-chunk (the coordinator sees the
+/// run_worker hard-closes the socket mid-point (the coordinator sees the
 /// same EOF/ECONNRESET a SIGKILLed workerd produces) and returns.
 struct WorkerAbort {};
 
@@ -213,7 +215,6 @@ struct WorkerStats {
   std::size_t points_executed = 0;  ///< simulations run to completion
   std::size_t dispatches = 0;       ///< Dispatch frames received
   std::size_t work_requests = 0;    ///< WorkRequest frames sent
-  std::uint64_t ewma_ns = 0;        ///< final per-point EWMA estimate
 };
 
 struct WorkerOptions {

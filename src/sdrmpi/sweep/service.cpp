@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -41,9 +42,6 @@ SweepService::SweepService(ServiceOptions opts) : opts_(std::move(opts)) {
   store_ = opts_.cache_path.empty()
                ? std::make_unique<ResultStore>()
                : std::make_unique<ResultStore>(opts_.cache_path);
-  // The shared secret rides ServiceOptions (callers think in service
-  // terms) but is enforced by the coordinator's handshake.
-  opts_.remote.secret = opts_.secret;
   if (!opts_.listen.empty()) {
     // The coordinator outlives individual run() calls so workers can
     // register before the first sweep and keep serving across cold/warm
@@ -139,12 +137,15 @@ std::vector<core::RunResult> SweepService::run(
     }
   };
 
+  // Miss indices the in-process pool simulates: every miss, or with a
+  // fleet, only the points it could not place.
+  std::vector<std::size_t> local(misses.size());
+  std::iota(local.begin(), local.end(), std::size_t{0});
   if (!misses.empty() && coordinator_ != nullptr) {
     std::vector<RemotePoint> points(misses.size());
     for (std::size_t m = 0; m < misses.size(); ++m) {
       points[m].id = m;
       points[m].cfg = &configs[misses[m]];
-      points[m].app = &apps[m];
       if (opts_.spec) {
         points[m].spec = opts_.spec(configs[misses[m]], misses[m]);
       }
@@ -158,7 +159,7 @@ std::vector<core::RunResult> SweepService::run(
     };
     stats_.remote_workers = coordinator_->connected_workers();
     const RemoteStats before = coordinator_->stats();
-    coordinator_->run(points, collect_result, collect_error);
+    local = coordinator_->run(points, collect_result, collect_error);
     const RemoteStats after = coordinator_->stats();
     stats_.workers_lost = after.workers_lost - before.workers_lost;
     stats_.heartbeats_missed =
@@ -167,13 +168,15 @@ std::vector<core::RunResult> SweepService::run(
         after.chunks_redispatched - before.chunks_redispatched;
     stats_.duplicate_results =
         after.duplicate_results - before.duplicate_results;
-    stats_.local_fallback_points =
-        after.local_fallback_points - before.local_fallback_points;
-  } else {
-    auto simulate = [&](std::size_t m) {
-      collect_result(m, core::run(configs[misses[m]], apps[m]));
-    };
-    errors = core::parallel_for(misses.size(), opts_.workers, simulate);
+    stats_.local_fallback_points = local.size();
+  }
+  const auto pool_errors =
+      core::parallel_for(local.size(), opts_.workers, [&](std::size_t k) {
+        const std::size_t m = local[k];
+        collect_result(m, core::run(configs[misses[m]], apps[m]));
+      });
+  for (std::size_t k = 0; k < local.size(); ++k) {
+    if (pool_errors[k] != nullptr) errors[local[k]] = pool_errors[k];
   }
 
   // Deterministic error surfacing: misses ascend in input order, so the

@@ -13,12 +13,15 @@
 //      results without simulation; interrupted sweeps resume from the
 //      records that made it to disk. Sound because runs are
 //      bit-deterministic: a cached result equals a fresh one.
-//   4. The remaining unique points run either on the in-process pool
-//      (each thread claims the next point) or, with `listen` set, on a
-//      fleet of remote sweep-workerd processes (remote.hpp). Results are
-//      bit-identical for every pool size and fleet shape — the
-//      pools-1-vs-8 invariant extended to remote execution. Process
-//      isolation on one host is `listen` on 127.0.0.1 plus local workerds.
+//   4. The remaining unique points run on the in-process pool (each
+//      thread claims the next point) or, with `listen` set, on a fleet of
+//      remote sweep-workerd processes (remote.hpp), one leased point per
+//      worker request. Points the fleet cannot place (nobody registered,
+//      or the last worker died) come back to the same pool, so there is
+//      one in-process executor. Results are bit-identical for every pool
+//      size and fleet shape — the pools-1-vs-8 invariant extended to
+//      remote execution. Process isolation on one host is `listen` on
+//      127.0.0.1 plus local workerds.
 //   5. Each point streams to an optional callback as it completes
 //      (benches emit BENCH-style JSON lines from it).
 //
@@ -48,15 +51,12 @@ struct ServiceOptions {
   /// Listen endpoint ("host:port"; port 0 = ephemeral) for remote
   /// sweep-workerd processes. Non-empty selects the remote backend:
   /// misses are dispatched to registered workers with lease-based
-  /// re-dispatch, and finished locally if the fleet dies (remote.hpp).
+  /// re-dispatch, and finished on the in-process pool if the fleet dies
+  /// (remote.hpp).
   std::string listen;
-  /// Failure-detection / re-dispatch tuning for the remote backend.
+  /// Failure-detection / re-dispatch tuning and the registration secret
+  /// (RemoteTuning::secret) for the remote backend.
   RemoteTuning remote;
-  /// Shared secret for worker registration (auth.hpp): when non-empty the
-  /// coordinator challenges every Hello with an HMAC nonce and rejects
-  /// peers that cannot answer, before any config bytes cross the wire.
-  /// Copied into RemoteTuning at construction; empty = unauthenticated.
-  std::string secret;
   /// Maps a point to the app-spec string a remote workerd resolves via
   /// the workload registry ("cg nrows=768 iters=8"). The spec is also
   /// folded into each point's content address (config_key overload), so
@@ -97,9 +97,12 @@ struct ServiceStats {
   std::size_t remote_workers = 0;       ///< fleet size when dispatch began
   std::size_t workers_lost = 0;         ///< deaths declared during this run
   std::size_t heartbeats_missed = 0;    ///< deadline-expiry deaths
-  std::size_t chunks_redispatched = 0;  ///< lease/death re-dispatch events
+  /// Re-dispatch events (RemoteStats::chunks_redispatched: one per
+  /// single-point lease requeued after a death or lease lapse).
+  std::size_t chunks_redispatched = 0;
   std::size_t duplicate_results = 0;    ///< late answers suppressed
-  std::size_t local_fallback_points = 0;  ///< points finished in-process
+  /// Remote-backend points the fleet could not place, run on the pool.
+  std::size_t local_fallback_points = 0;
 };
 
 /// Deterministic one-line summary of the nonzero fault counters in `s`

@@ -11,9 +11,9 @@
 //    attribution on the pool and across the wire.
 //  - Remote backend: TCP worker fleets (1/2/3 workers over loopback,
 //    the real run_worker loop in threads) reproduce the pool-1 baseline
-//    bit-for-bit through mid-chunk worker kills, lease expiry with a
+//    bit-for-bit through mid-sweep worker kills, lease expiry with a
 //    suppressed late twin, heartbeat-deadline death, last-worker death
-//    (local degradation), an empty fleet, an exhausted re-dispatch
+//    (leftovers run on the pool), an empty fleet, an exhausted re-dispatch
 //    budget (hard error), a version-mismatch registration reject, and
 //    worker-pull scheduling across a fast+slow fleet.
 //  - Auth: the self-contained SHA-256/HMAC against the FIPS / RFC 4231
@@ -758,8 +758,8 @@ std::vector<unsigned char> frame_image(std::uint8_t kind, std::uint64_t id,
 
 TEST(FrameIo, ReassemblesDribbledSocketTransfers) {
   // On TCP, partial reads are the norm: a frame written byte-at-a-time
-  // must reassemble losslessly, and the close after the last byte lands
-  // exactly on a frame boundary (clean close, not a torn frame).
+  // must reassemble losslessly, and the close after the last byte ends
+  // the stream.
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::string payload = "short transfers are the norm, not the edge";
@@ -772,17 +772,14 @@ TEST(FrameIo, ReassemblesDribbledSocketTransfers) {
     ::close(fd);
   });
   sweep::frame::FrameHeader h;
-  sweep::frame::IoError io;
-  ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h, &io));
+  ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h));
   EXPECT_EQ(h.kind, sweep::frame::kFrameResult);
   EXPECT_EQ(h.id, 77u);
   ASSERT_EQ(h.len, payload.size());
   std::string got(h.len, '\0');
-  ASSERT_TRUE(sweep::frame::read_all(sv[0], got.data(), got.size(), &io));
+  ASSERT_TRUE(sweep::frame::read_all(sv[0], got.data(), got.size()));
   EXPECT_EQ(got, payload);
-  EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h, &io));
-  EXPECT_TRUE(io.eof);
-  EXPECT_TRUE(io.clean_close);
+  EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h));
   dribbler.join();
   ::close(sv[0]);
 }
@@ -796,11 +793,7 @@ TEST(FrameIo, TornFrameIsEofButNotCleanClose) {
     ASSERT_TRUE(sweep::frame::write_all(sv[1], image.data(), 5));
     ::close(sv[1]);
     sweep::frame::FrameHeader h;
-    sweep::frame::IoError io;
-    EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h, &io));
-    EXPECT_TRUE(io.eof);
-    EXPECT_FALSE(io.clean_close);
-    EXPECT_TRUE(sweep::frame::is_connection_lost(io));
+    EXPECT_FALSE(sweep::frame::read_frame_header(sv[0], h));
     ::close(sv[0]);
   }
   // EOF mid-payload: the header parses, the payload read reports the tear.
@@ -810,34 +803,27 @@ TEST(FrameIo, TornFrameIsEofButNotCleanClose) {
     ASSERT_TRUE(sweep::frame::write_all(sv[1], image.data(), 13 + 3));
     ::close(sv[1]);
     sweep::frame::FrameHeader h;
-    sweep::frame::IoError io;
-    ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h, &io));
+    ASSERT_TRUE(sweep::frame::read_frame_header(sv[0], h));
     std::string got(h.len, '\0');
-    EXPECT_FALSE(sweep::frame::read_all(sv[0], got.data(), got.size(), &io));
-    EXPECT_TRUE(io.eof);
-    EXPECT_FALSE(io.clean_close);
+    EXPECT_FALSE(sweep::frame::read_all(sv[0], got.data(), got.size()));
     ::close(sv[0]);
   }
 }
 
 TEST(FrameIo, LostPeerSurfacesAsConnectionLostErrno) {
-  // Writing to a peer that vanished must come back as an EPIPE-class
-  // errno the scheduler maps to worker-lost — never as SIGPIPE death.
+  // Writing to a peer that vanished must come back as a failed write the
+  // scheduler maps to worker-lost — never as SIGPIPE death.
   sweep::ignore_sigpipe();
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   ::close(sv[0]);
   const std::string payload(1 << 16, 'x');
-  sweep::frame::IoError io;
   bool wrote = true;
   for (int i = 0; i < 4 && wrote; ++i) {
     wrote = sweep::frame::write_frame(sv[1], sweep::frame::kFrameResult, 1,
-                                      payload.data(), payload.size(), &io);
+                                      payload.data(), payload.size());
   }
-  ASSERT_FALSE(wrote);
-  EXPECT_FALSE(io.eof);
-  EXPECT_TRUE(io.err == EPIPE || io.err == ECONNRESET) << "errno " << io.err;
-  EXPECT_TRUE(sweep::frame::is_connection_lost(io));
+  ASSERT_FALSE(wrote);  // and this process is still alive: no SIGPIPE
   ::close(sv[1]);
 }
 
@@ -982,6 +968,13 @@ TEST(SweepService, ErrorNamesTheFailingInputIndex) {
   ASSERT_TRUE(rig.wait_for_workers(1));
   expect_config4(*rig.service, "remote");
   rig.shutdown();
+
+  // Empty fleet: the coordinator hands every point back and the pool
+  // path must surface the same error.
+  auto tuning = fast_tuning();
+  tuning.registration_wait_ms = 100;  // nobody is coming
+  sweep::SweepService empty(remote_options(tuning));
+  expect_config4(empty, "empty fleet");
 }
 
 TEST(RemoteBackend, WorkerFleetsReproducePoolBaseline) {
@@ -1020,17 +1013,29 @@ TEST(RemoteBackend, KilledWorkerMidChunkIsInvisibleInResults) {
   const auto baseline = pool1_baseline(s);
 
   RemoteRig rig(remote_options(fast_tuning()));
-  // The doomed worker fail-stops while resolving its third point — the
-  // coordinator sees the same torn stream a SIGKILLed workerd produces.
-  auto calls = std::make_shared<std::atomic<int>>(0);
+  // The doomed worker fail-stops on its first resolve, holding a lease —
+  // the coordinator sees the same torn stream a SIGKILLed workerd
+  // produces. The survivor resolves nothing until that abort happened
+  // (bounded wait), so the doomed worker is always served a point and its
+  // death always lands mid-sweep.
+  auto aborted = std::make_shared<std::atomic<bool>>(false);
   auto inner = table_resolver(s);
   rig.start_worker(
-      [inner, calls](const core::RunConfig& cfg, const std::string& spec) {
-        if (calls->fetch_add(1) == 2) throw sweep::WorkerAbort{};
-        return inner(cfg, spec);
+      [aborted](const core::RunConfig&, const std::string&) -> core::AppFn {
+        aborted->store(true);
+        throw sweep::WorkerAbort{};
       },
       {.name = "doomed"});
-  rig.start_worker(table_resolver(s), {.name = "survivor"});
+  rig.start_worker(
+      [inner, aborted](const core::RunConfig& cfg, const std::string& spec) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!aborted->load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return inner(cfg, spec);
+      },
+      {.name = "survivor"});
   ASSERT_TRUE(rig.wait_for_workers(2));
 
   const auto runs = rig.service->run(s.configs, factory);
@@ -1116,7 +1121,7 @@ TEST(RemoteBackend, SilentWorkerIsDeclaredDeadByHeartbeatDeadline) {
   RemoteRig rig(std::move(opts));
   // The silent worker never heartbeats (test hook) and hangs on its first
   // point: no frame of any kind after registration. Only the deadline
-  // detector can reclaim its chunks — the socket stays open throughout.
+  // detector can reclaim its leases — the socket stays open throughout.
   auto inner = table_resolver(s);
   auto hung = std::make_shared<std::atomic<bool>>(false);
   rig.start_worker(
@@ -1245,14 +1250,11 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
   };
   const auto baseline = pool1_baseline(s);
 
-  auto tuning = fast_tuning();
-  tuning.target_chunk_ms = 30;  // small chunks: both workers must cycle
-  RemoteRig rig(remote_options(tuning));
+  RemoteRig rig(remote_options(fast_tuning()));
   // A ~30 ms-per-point worker next to an unthrottled one. Under pull
-  // scheduling the slow worker's EWMA keeps its chunks near 1 point while
-  // the fast worker streams — but both must execute real work (a push
-  // scheduler splitting the queue up front would also pass this; the
-  // EWMA sizing is what keeps the tail short).
+  // scheduling every request draws one point, so the fast worker asks
+  // more often and streams while the slow one cycles — but both must
+  // execute real work.
   auto fast_points = std::make_shared<std::atomic<int>>(0);
   auto slow_points = std::make_shared<std::atomic<int>>(0);
   auto inner = table_resolver(s);
@@ -1284,7 +1286,7 @@ TEST(RemoteBackend, PullSchedulingKeepsFastAndSlowWorkersBusy) {
   EXPECT_GE(slow_stats.points_executed, 1u);
   EXPECT_GE(slow_stats.dispatches, 1u);
   EXPECT_GE(slow_stats.work_requests, 1u);
-  EXPECT_GT(slow_stats.ewma_ns, 0u);
+  EXPECT_EQ(slow_stats.dispatches, slow_stats.points_executed);
 }
 
 // ---------------------------------------------------------- SO_REUSEADDR
@@ -1393,7 +1395,7 @@ TEST(Auth, SecretFileStripsOneTrailingNewlineAndRejectsEmpty) {
 
 TEST(Auth, WrongSecretIsRejectedWithAReason) {
   auto opts = remote_options(fast_tuning());
-  opts.secret = "correct horse battery staple";
+  opts.remote.secret = "correct horse battery staple";
   sweep::SweepService service(std::move(opts));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
@@ -1410,7 +1412,7 @@ TEST(Auth, WrongSecretIsRejectedWithAReason) {
 
 TEST(Auth, MissingSecretIsRefusedBeforeAnyConfigBytes) {
   auto opts = remote_options(fast_tuning());
-  opts.secret = "correct horse battery staple";
+  opts.remote.secret = "correct horse battery staple";
   sweep::SweepService service(std::move(opts));
   try {
     sweep::run_worker(service.remote_address(), sweep::registry_resolver(),
@@ -1457,7 +1459,7 @@ TEST(Auth, AuthenticatedFleetReproducesThePoolBaseline) {
   const auto baseline = pool1_baseline(s);
 
   auto opts = remote_options(fast_tuning());
-  opts.secret = "fleet-secret";
+  opts.remote.secret = "fleet-secret";
   RemoteRig rig(std::move(opts));
   rig.start_worker(table_resolver(s),
                    {.name = "auth-a", .secret = "fleet-secret"});
@@ -1727,7 +1729,7 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
   auto service = std::make_unique<sweep::SweepService>(std::move(opts));
   const std::string addr = service->remote_address();
 
-  // Marker file: only the first child SIGKILLs itself mid-chunk; its
+  // Marker file: only the first child SIGKILLs itself mid-sweep; its
   // replacement (a fresh fork) finds the marker and behaves. Fork-copied
   // memory cannot carry this flag — only the filesystem spans processes.
   StoreFile marker("supervisor_kill_marker");
@@ -1751,7 +1753,7 @@ TEST(Supervisor, SigkilledWorkerIsReplacedAndTheSweepCompletes) {
                             std::fopen(marker.path().c_str(), "wb")) {
                       std::fclose(f);
                     }
-                    ::kill(::getpid(), SIGKILL);  // fail-stop, mid-chunk
+                    ::kill(::getpid(), SIGKILL);  // fail-stop, mid-sweep
                   }
                   return inner(cfg, sp);
                 },
@@ -1799,7 +1801,7 @@ TEST(Supervisor, SpentRestartBudgetDegradesToLocalFallback) {
 
   auto tuning = fast_tuning();
   tuning.fleet_death_grace_ms = 1000;  // longer than the supervisor backoff
-  tuning.redispatch_budget = 10;       // deaths must not exhaust the chunks
+  tuning.redispatch_budget = 10;       // deaths must not exhaust the points
   auto opts = remote_options(tuning);
   auto service = std::make_unique<sweep::SweepService>(std::move(opts));
   const std::string addr = service->remote_address();

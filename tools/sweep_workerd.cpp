@@ -66,7 +66,7 @@ int run_worker_main(const std::string& connect,
   if (print_stats) wopts.stats = &stats;
   auto emit_stats = [&] {
     if (!print_stats) return;
-    // Deterministic counters only (no host-time EWMA): CI diffs these.
+    // Deterministic counters only (no host time): CI diffs these.
     std::fprintf(stderr,
                  "[sweep-workerd] stats: points_executed=%zu dispatches=%zu "
                  "work_requests=%zu\n",
