@@ -23,12 +23,20 @@
 // Unknown flags are rejected with the accepted list (check_options).
 #pragma once
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -107,7 +115,91 @@ inline long peak_rss_mb() {
 #endif
 }
 
-/// Peak-RSS regression gate shared by table1_nas and fig_scale: reports
+/// What the parent learns about one forked child (run_child).
+struct ChildRun {
+  double user_s = 0.0;
+  double sys_s = 0.0;
+  long maxrss_kb = 0;            ///< the child's own peak RSS
+  std::vector<std::byte> reply;  ///< bytes body() returned
+};
+
+/// Runs `body()` (returning std::vector<std::byte>) in a forked child and
+/// reads the child's user/sys time and peak RSS with wait4(), so the
+/// figures belong to that one body whatever else runs in this process.
+/// Safe to call from several threads at once: each call forks, pipes the
+/// reply back and reaps its own child. Throws std::runtime_error when the
+/// child fails (exception, signal or non-zero exit).
+template <class Body>
+ChildRun run_child(Body&& body) {
+  int fds[2];
+  if (pipe(fds) != 0) throw std::runtime_error("run_child: pipe failed");
+  std::cout.flush();
+  std::cerr.flush();
+  const pid_t pid = fork();
+  if (pid < 0) throw std::runtime_error("run_child: fork failed");
+  if (pid == 0) {
+#ifdef __linux__
+    prctl(PR_SET_PDEATHSIG, SIGKILL);  // die with an interrupted bench
+#endif
+    close(fds[0]);
+    int code = 0;
+    try {
+      const std::vector<std::byte> bytes = body();
+      std::size_t off = 0;
+      while (off < bytes.size()) {
+        const ssize_t n = write(fds[1], bytes.data() + off, bytes.size() - off);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+          code = 3;
+          break;
+        }
+        off += static_cast<std::size_t>(n);
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "run_child: " << e.what() << "\n";
+      code = 2;
+    }
+    std::cerr.flush();
+    _exit(code);
+  }
+  close(fds[1]);
+  ChildRun run;
+  std::byte buf[1 << 16];
+  for (;;) {
+    const ssize_t n = read(fds[0], buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    run.reply.insert(run.reply.end(), buf, buf + n);
+  }
+  close(fds[0]);
+  int status = 0;
+  struct rusage ru {};
+  while (wait4(pid, &status, 0, &ru) < 0) {
+    if (errno != EINTR) throw std::runtime_error("run_child: wait4 failed");
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error(
+        WIFSIGNALED(status)
+            ? "run_child: child killed by signal " +
+                  std::to_string(WTERMSIG(status))
+            : "run_child: child exited with status " +
+                  std::to_string(WEXITSTATUS(status)));
+  }
+  auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  run.user_s = secs(ru.ru_utime);
+  run.sys_s = secs(ru.ru_stime);
+#ifdef __APPLE__
+  run.maxrss_kb = ru.ru_maxrss / 1024;  // ru_maxrss is bytes
+#else
+  run.maxrss_kb = ru.ru_maxrss;  // KB on Linux
+#endif
+  return run;
+}
+
+/// Process-wide peak-RSS gate (table1_nas --max-rss-mb): reports
 /// the measured peak against the bound on stderr and returns false when
 /// it is exceeded (a change that silently rematerializes GB-scale
 /// symbolic payloads, or re-densifies per-rank state, blows through it).

@@ -13,8 +13,19 @@
 //  * Rabenseifner falls back to recursive doubling when the vector has
 //    fewer elements than the power-of-two participant count (or a ragged
 //    element size) — deterministic, like MPICH's count >= pof2 guard.
+//  * Bruck allgather and alltoall keep a *uniform* state while every block
+//    a rank holds is one descriptor U (skeletons send the same symbolic
+//    block everywhere): each phase sends Payload::repeat(U, cnt) and, when
+//    the received pack is same_desc to it, slices nothing and stages
+//    nothing — O(log p) descriptors per rank instead of O(p log p) slices.
+//    The first pack that differs (a Raw twin, a Corrupt SDC frame, a rank
+//    with another block) expands the staging table from U and the
+//    schedule continues on the general path. repeat() equals concat of
+//    aliases exactly, so wire sizes, descriptors and digests never depend
+//    on which path ran.
 #include "sdrmpi/mpi/coll/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -574,25 +585,37 @@ void CollEngine::allgather_bruck(const net::Payload& mine, std::size_t block,
                                  std::vector<net::Payload>& out) {
   const int n = size_;
   auto& tmp = scratch_.stage;
-  tmp.assign(static_cast<std::size_t>(n), {});
-  tmp[0] = mine;
+  // Uniform while every block held so far is `mine`'s descriptor: each
+  // phase sends repeat(mine, cnt) and nothing is staged.
+  bool uniform = true;
   int nfilled = 1;
   for (int pof2 = 1; pof2 < n; pof2 *= 2) {
-    const int cnt = std::min(pof2, n - nfilled);
+    const auto cnt = static_cast<std::size_t>(std::min(pof2, n - nfilled));
     const int dst = (rank_ - pof2 + n) % n;
     const int src = (rank_ + pof2) % n;
     // Pack the first cnt blocks into one message; receive the peer's pack
     // and slice it back into block handles (uniform block size).
-    net::Payload packed = net::Payload::concat_payloads(
-        pool_, std::span<const net::Payload>(tmp.data(),
-                                             static_cast<std::size_t>(cnt)));
-    net::Payload in = sendrecv_p(
-        packed, dst, static_cast<std::size_t>(cnt) * block, src, kTagAllgather);
-    for (int i = 0; i < cnt; ++i) {
-      tmp[static_cast<std::size_t>(nfilled + i)] = net::Payload::slice(
-          pool_, in, static_cast<std::size_t>(i) * block, block);
+    net::Payload packed =
+        uniform ? net::Payload::repeat(pool_, mine, cnt)
+                : net::Payload::concat_payloads(
+                      pool_, std::span<const net::Payload>(tmp.data(), cnt));
+    net::Payload in =
+        sendrecv_p(packed, dst, cnt * block, src, kTagAllgather);
+    if (uniform && !in.same_desc(packed)) {
+      uniform = false;
+      tmp.assign(static_cast<std::size_t>(n), {});
+      std::fill_n(tmp.begin(), nfilled, mine);
     }
-    nfilled += cnt;
+    for (std::size_t i = 0; !uniform && i < cnt; ++i) {
+      tmp[static_cast<std::size_t>(nfilled) + i] =
+          net::Payload::slice(pool_, in, i * block, block);
+    }
+    nfilled += static_cast<int>(cnt);
+  }
+  if (uniform) {
+    // A copy: `mine` may be an element of `out`.
+    out.assign(static_cast<std::size_t>(n), net::Payload(mine));
+    return;
   }
   // tmp[i] holds the block of rank (rank_ + i) % n; rotate into rank order.
   out.assign(static_cast<std::size_t>(n), {});
@@ -662,25 +685,51 @@ void CollEngine::alltoall_bruck(std::span<const net::Payload> blocks,
                                 std::vector<net::Payload>& out) {
   const int n = size_;
   auto& tmp = scratch_.stage;
-  tmp.assign(static_cast<std::size_t>(n), {});
+  // Uniform while every block held is one descriptor U (skeletons send
+  // aliases of one block to every destination): phase 1's rotation is
+  // the identity on U, each phase sends repeat(U, cnt) and nothing is
+  // staged until a received pack differs.
+  const net::Payload& uni = blocks[0];
+  bool uniform = std::all_of(
+      blocks.begin(), blocks.end(),
+      [&uni](const net::Payload& b) { return b.same_desc(uni); });
   // Phase 1 — rotation: tmp[i] = my block for destination (rank + i) % n.
-  for (int i = 0; i < n; ++i) {
-    tmp[static_cast<std::size_t>(i)] =
-        blocks[static_cast<std::size_t>((rank_ + i) % n)];
-  }
+  auto rotate_in = [&] {
+    tmp.assign(static_cast<std::size_t>(n), {});
+    for (int i = 0; i < n; ++i) {
+      tmp[static_cast<std::size_t>(i)] =
+          blocks[static_cast<std::size_t>((rank_ + i) % n)];
+    }
+  };
+  if (!uniform) rotate_in();
   // Phase 2 — for each bit, pack every block whose index has that bit set,
   // trade with (rank +/- 2^k), and put the received slices back in place.
   for (int pof2 = 1; pof2 < n; pof2 *= 2) {
     const int dst = (rank_ + pof2) % n;
     const int src = (rank_ - pof2 + n) % n;
-    auto& parts = scratch_.parts;
-    parts.clear();
-    for (int i = 0; i < n; ++i) {
-      if (i & pof2) parts.push_back(tmp[static_cast<std::size_t>(i)]);
+    // Indices in [0, n) with bit pof2 set: pof2 per full 2*pof2 period,
+    // plus the tail's excess over pof2.
+    const auto cnt = static_cast<std::size_t>(
+        n / (2 * pof2) * pof2 + std::max(0, n % (2 * pof2) - pof2));
+    net::Payload packed;
+    if (uniform) {
+      packed = net::Payload::repeat(pool_, uni, cnt);
+    } else {
+      auto& parts = scratch_.parts;
+      parts.clear();
+      for (int i = 0; i < n; ++i) {
+        if (i & pof2) parts.push_back(tmp[static_cast<std::size_t>(i)]);
+      }
+      packed = net::Payload::concat_payloads(pool_, parts);
+      parts.clear();
     }
-    net::Payload packed = net::Payload::concat_payloads(pool_, parts);
     net::Payload in =
-        sendrecv_p(packed, dst, parts.size() * block, src, kTagAlltoall);
+        sendrecv_p(packed, dst, cnt * block, src, kTagAlltoall);
+    if (uniform) {
+      if (in.same_desc(packed)) continue;
+      uniform = false;
+      rotate_in();
+    }
     std::size_t j = 0;
     for (int i = 0; i < n; ++i) {
       if (i & pof2) {
@@ -688,7 +737,10 @@ void CollEngine::alltoall_bruck(std::span<const net::Payload> blocks,
             net::Payload::slice(pool_, in, j++ * block, block);
       }
     }
-    parts.clear();
+  }
+  if (uniform) {
+    out.assign(static_cast<std::size_t>(n), net::Payload(uni));
+    return;
   }
   // Phase 3 — inverse rotation: tmp[i] came from rank (rank - i + n) % n.
   out.assign(static_cast<std::size_t>(n), {});

@@ -25,6 +25,16 @@ struct Scratch {
   std::vector<Request> reqs;             ///< nonblocking fan-out requests
   std::vector<std::size_t> offs;         ///< alltoallv send offsets
   std::vector<std::size_t> offs2;        ///< alltoallv recv offsets
+
+  /// Heap bytes the recycled vectors hold (their capacity, not their
+  /// size: that is what stays resident between collectives).
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return (in_blocks.capacity() + out_blocks.capacity() + stage.capacity() +
+            parts.capacity()) *
+               sizeof(net::Payload) +
+           reqs.capacity() * sizeof(Request) +
+           (offs.capacity() + offs2.capacity()) * sizeof(std::size_t);
+  }
 };
 
 }  // namespace sdrmpi::mpi::coll

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 namespace sdrmpi::net {
 
@@ -327,6 +328,38 @@ Payload Payload::concat_payloads(util::BufferPool* pool,
   }
   util::count_bytes_copied(total);
   return out;
+}
+
+Payload Payload::repeat(util::BufferPool* pool, const Payload& block,
+                        std::size_t count) {
+  if (count == 0 || block.empty()) return {};
+  if (count == 1) return block;
+  const std::size_t total = count * block.size();
+  switch (block.kind()) {
+    case ContentKind::Zeros:
+      return symbolic(pool, ContentDesc::zeros(total));
+    case ContentKind::Pattern:
+      return symbolic(pool, ContentDesc::tile(block.h_->seed, block.h_->offset,
+                                              block.size(), count));
+    case ContentKind::Tile:
+      return symbolic(pool, ContentDesc::tile(block.h_->seed, block.h_->offset,
+                                              block.h_->bit_index,
+                                              total / block.h_->bit_index));
+    case ContentKind::Raw:
+    case ContentKind::Corrupt:
+      break;
+  }
+  const std::vector<Payload> aliases(count, block);
+  return concat_payloads(pool, aliases);
+}
+
+bool Payload::same_desc(const Payload& other) const noexcept {
+  if (h_ == other.h_) return true;
+  if (!is_symbolic() || kind() == ContentKind::Corrupt) return false;
+  const ContentDesc a = desc();
+  const ContentDesc b = other.desc();
+  return a.kind == b.kind && a.len == b.len && a.seed == b.seed &&
+         a.offset == b.offset && a.period == b.period;
 }
 
 Payload Payload::corrupt(util::BufferPool* pool, const Payload& base,

@@ -149,9 +149,27 @@ class Payload {
   /// the allgather case, where every rank contributes the same symbolic
   /// block. Otherwise every part materializes once and the bytes are
   /// packed into a fresh Raw slab. Empty parts are skipped; a single
-  /// non-empty part is aliased, not copied.
+  /// non-empty part is aliased, not copied. repeat() below is the O(1)
+  /// form of the aliased case and same_desc() tells a caller when a
+  /// received pack is one, so Bruck can skip both the join and the slices.
   [[nodiscard]] static Payload concat_payloads(util::BufferPool* pool,
                                                std::span<const Payload> parts);
+
+  /// Exactly what concat_payloads returns for `count` aliases of `block`
+  /// (same descriptor, digest and byte counters), in O(1) for empty, Zeros,
+  /// Pattern and Tile blocks: Zeros(count*len), Tile(seed, offset, period,
+  /// ...), the block itself when count is 1, or empty. Raw and Corrupt
+  /// blocks pack `count` copies of their bytes. Bruck's uniform phases
+  /// send this instead of joining n block handles.
+  [[nodiscard]] static Payload repeat(util::BufferPool* pool,
+                                      const Payload& block,
+                                      std::size_t count);
+
+  /// True when both handles are known to hold the same contents without
+  /// touching a byte: the same buffer, or equal Zeros/Pattern/Tile
+  /// descriptors (two empty handles included). Always false for distinct
+  /// Raw or Corrupt payloads, whatever their bytes.
+  [[nodiscard]] bool same_desc(const Payload& other) const noexcept;
 
   /// `base` with bit `bit_index` (byte bit_index/8, bit bit_index%8)
   /// flipped — the O(1) SDC-injection wrapper: no bytes are cloned, the

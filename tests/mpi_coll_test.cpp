@@ -564,6 +564,108 @@ TEST(CollAlgorithmMatrixOracle, CollChecksumsAreAlgorithmIndependent) {
 }
 
 // ---------------------------------------------------------------------------
+// Bruck's uniform-descriptor path: while every block a rank holds is one
+// symbolic descriptor, allgather and alltoall send repeat() packs and slice
+// nothing. Materialized blocks never take that path, so each symbolic run
+// is checked against its materialized twin (the general path): same
+// makespan, wire bytes and checksums, and every delivered block carries
+// the digest of the rank that sent it. A rank whose block differs forces
+// every other rank off the uniform path mid-schedule.
+// ---------------------------------------------------------------------------
+
+struct BruckCase {
+  std::string name;
+  int np;
+  core::ProtocolKind proto;
+  int r;
+  std::size_t block;
+  int odd_rank;  ///< rank whose block differs from everyone else's (-1: none)
+};
+
+class BruckUniform : public ::testing::TestWithParam<BruckCase> {};
+
+TEST_P(BruckUniform, SymbolicMatchesGeneralPath) {
+  const BruckCase c = GetParam();
+  constexpr std::uint64_t kSeed = 0xb2cc0001ULL;
+  constexpr std::uint64_t kOddSeed = 0xb2cc0002ULL;
+  auto pattern_bytes = [&c](std::uint64_t seed) {
+    std::vector<std::byte> v(c.block);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = net::pattern_byte(seed, i);
+    return v;
+  };
+  const std::vector<std::byte> common = pattern_bytes(kSeed);
+  const std::vector<std::byte> odd = pattern_bytes(kOddSeed);
+  auto app = [&](wl::PayloadMode mode) {
+    return [&, mode](mpi::Env& env) {
+      auto& w = env.world();
+      const int n = w.size();
+      const bool is_odd = w.rank() == c.odd_rank;
+      net::Payload mine;
+      if (mode == wl::PayloadMode::Symbolic) {
+        mine = w.make_payload(
+            net::ContentDesc::pattern(is_odd ? kOddSeed : kSeed, c.block));
+      } else {
+        mine = w.make_payload(std::span<const std::byte>(is_odd ? odd : common));
+      }
+      util::Checksum cs;
+      auto check = [&](const std::vector<net::Payload>& out, const char* op) {
+        ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+          const std::uint64_t want =
+              util::fnv1a(i == c.odd_rank ? odd : common);
+          const std::uint64_t got = out[static_cast<std::size_t>(i)].digest();
+          EXPECT_EQ(got, want) << op << " rank " << w.rank() << " block " << i;
+          cs.add_u64(got);
+        }
+      };
+      std::vector<net::Payload> out;
+      w.allgather_payload(mine, c.block, out);
+      check(out, "allgather");
+      const std::vector<net::Payload> blocks(static_cast<std::size_t>(n), mine);
+      w.alltoall_payload(blocks, c.block, out);
+      check(out, "alltoall");
+      env.report_checksum(cs.digest());
+    };
+  };
+  auto cfg = quick_config(c.np, c.r, c.proto);
+  cfg.coll.allgather = mpi::AllgatherAlg::Bruck;
+  cfg.coll.alltoall = mpi::AlltoallAlg::Bruck;
+  const auto sym = core::run(cfg, app(wl::PayloadMode::Symbolic));
+  const auto mat = core::run(cfg, app(wl::PayloadMode::Materialized));
+  ASSERT_TRUE(run_clean(sym));
+  ASSERT_TRUE(run_clean(mat));
+  EXPECT_EQ(sym.makespan, mat.makespan);
+  EXPECT_EQ(sym.data_frames, mat.data_frames);
+  EXPECT_EQ(sym.fabric.payload_bytes, mat.fabric.payload_bytes);
+  ASSERT_EQ(sym.slots.size(), mat.slots.size());
+  for (std::size_t i = 0; i < sym.slots.size(); ++i) {
+    EXPECT_EQ(sym.slots[i].checksum, mat.slots[i].checksum) << "slot " << i;
+  }
+  if (c.odd_rank < 0 && c.block > 0) {
+    // The uniform path stages nothing; the general path's n-entry tables
+    // are counted in the endpoint footprint (coll::Scratch capacity).
+    EXPECT_LT(sym.mem.endpoint_bytes, mat.mem.endpoint_bytes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BruckUniform, ::testing::ValuesIn([] {
+      std::vector<BruckCase> cases;
+      for (const int np : {48, 64}) {
+        for (const auto& [proto, r, pname] :
+             {std::tuple{core::ProtocolKind::Native, 1, "native"},
+              std::tuple{core::ProtocolKind::Sdr, 2, "sdr_r2"}}) {
+          const std::string tag = std::string(pname) + "_np" + std::to_string(np);
+          cases.push_back({"uniform_" + tag, np, proto, r, 96, -1});
+          cases.push_back({"empty_" + tag, np, proto, r, 0, -1});
+          cases.push_back({"odd_rank_" + tag, np, proto, r, 96, np / 3});
+        }
+      }
+      return cases;
+    }()),
+    [](const auto& info) { return info.param.name; });
+
+// ---------------------------------------------------------------------------
 // Argument validation (regression: the seed's alltoall never validated).
 // ---------------------------------------------------------------------------
 

@@ -147,6 +147,66 @@ TEST(SymbolicPayload, ConcatOfMixedContentsMaterializesExactBytes) {
   EXPECT_EQ(same.size(), 24u);
 }
 
+TEST(SymbolicPayload, RepeatEqualsConcatOfAliases) {
+  util::BufferPool pool;
+  const Payload blocks[] = {
+      Payload{},
+      Payload::zeros(&pool, 48),
+      Payload::pattern(&pool, 0x7e9eULL, 40),
+      Payload::symbolic(&pool, ContentDesc::pattern_at(0x7e9eULL, 24, 13)),
+      Payload::symbolic(&pool, ContentDesc::tile(0xb10cULL, 5, 16, 3)),
+      Payload::copy_of(&pool, Payload::pattern(&pool, 0x3ULL, 20).bytes()),
+  };
+  for (const Payload& block : blocks) {
+    for (const std::size_t count : {0u, 1u, 2u, 7u}) {
+      const std::vector<Payload> aliases(count, block);
+      const Payload joined = Payload::concat_payloads(&pool, aliases);
+      const Payload rep = Payload::repeat(&pool, block, count);
+      const ContentDesc a = joined.desc();
+      const ContentDesc b = rep.desc();
+      const std::string what = std::string(net::to_string(block.kind())) +
+                               " x" + std::to_string(count);
+      EXPECT_EQ(a.kind, b.kind) << what;
+      EXPECT_EQ(a.len, b.len) << what;
+      EXPECT_EQ(a.seed, b.seed) << what;
+      EXPECT_EQ(a.offset, b.offset) << what;
+      EXPECT_EQ(a.period, b.period) << what;
+      EXPECT_EQ(rep.digest(), joined.digest()) << what;
+      EXPECT_EQ(rep.digest(), util::fnv1a(rep.bytes())) << what;
+      if (block.is_symbolic()) {
+        EXPECT_TRUE(rep.same_desc(joined)) << what;
+      }
+    }
+  }
+}
+
+TEST(SymbolicPayload, SameDescNeverTrustsBytes) {
+  util::BufferPool pool;
+  const Payload p = Payload::pattern(&pool, 0x5ULL, 64);
+  EXPECT_TRUE(p.same_desc(Payload::pattern(&pool, 0x5ULL, 64)));
+  EXPECT_FALSE(p.same_desc(Payload::pattern(&pool, 0x6ULL, 64)));
+  EXPECT_FALSE(p.same_desc(Payload::pattern(&pool, 0x5ULL, 63)));
+  EXPECT_FALSE(p.same_desc(Payload::zeros(&pool, 64)));
+  EXPECT_FALSE(p.same_desc(Payload{}));
+  EXPECT_TRUE(Payload{}.same_desc(Payload{}));
+  EXPECT_TRUE(Payload::zeros(&pool, 9).same_desc(Payload::zeros(&pool, 9)));
+
+  // Equal bytes are not enough: distinct Raw or Corrupt payloads differ.
+  const Payload raw1 = Payload::copy_of(&pool, p.bytes());
+  const Payload raw2 = Payload::copy_of(&pool, p.bytes());
+  EXPECT_FALSE(raw1.same_desc(raw2));
+  EXPECT_FALSE(raw1.same_desc(p));
+  EXPECT_FALSE(p.same_desc(raw1));
+  const Payload bad1 = Payload::corrupt(&pool, p, 3);
+  const Payload bad2 = Payload::corrupt(&pool, p, 3);
+  EXPECT_FALSE(bad1.same_desc(bad2));
+  EXPECT_FALSE(bad1.same_desc(p));
+  EXPECT_FALSE(p.same_desc(bad1));
+  // One buffer is the same contents whatever its kind.
+  EXPECT_TRUE(raw1.same_desc(raw1));
+  EXPECT_TRUE(bad1.same_desc(Payload(bad1)));
+}
+
 // ------------------------------------------------------ lazy materialization
 
 TEST(SymbolicPayload, MaterializationHappensExactlyOnce) {
